@@ -8,7 +8,8 @@
    - §6.1 case study   : LinkedList before/after the trivial fixes
    - Figure 5          : masking overhead vs checkpointed-object size and
                          fraction of calls to wrapped methods (Bechamel)
-   - Ablations         : eager vs lazy (copy-on-write) checkpointing, and
+   - Ablations         : the paper's eager checkpointing (the test/oracle
+                         library) vs the copy-on-write product path, and
                          wrap-pure vs wrap-all masking policies
 
    Absolute times differ from the paper's 2003 hardware; the reproduced
@@ -18,8 +19,9 @@
    Beyond the paper, the campaign section measures the parallel
    detection-campaign engine: wall-clock of the full detection phase at
    1/2/4/8 worker domains on every bundled application.  The snapshot
-   section compares eager vs copy-on-write detection snapshots
-   (--snapshot-mode) per application and writes the machine-readable
+   section compares the paper's eager detection snapshots (the
+   test/oracle library) with the copy-on-write product path per
+   application and writes the machine-readable
    BENCH_detect.json; set BENCH_SHORT=1 for the quick CI subset.  The
    interp section races the two execution engines — the original
    closure-tree evaluator against the flat-bytecode interpreter with
@@ -37,8 +39,8 @@
    identity check — gating RBTree at >= 30% runs eliminated and the
    geomean speedup at >= 1.3x, writing BENCH_prune.json.  The mask
    section measures the production masking runtime (lib/prod): armed
-   runs with a rate-1000 canary compare the eager checkpoint rollback
-   against the copy-on-write shadow rollback per application, gate the
+   runs with a rate-1000 canary compare the eager checkpoint oracle
+   against the copy-on-write rollback per application, gate the
    outputs bitwise identical and the median rollback speedup on the
    large-graph apps at >= 2x, and write BENCH_mask.json.
 
@@ -187,7 +189,7 @@ let section_campaign () =
   Fmt.pr "  per-run weave+compile per campaign column@."
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot modes: eager vs copy-on-write detection cost               *)
+(* Snapshots: eager oracle vs copy-on-write detection cost            *)
 (* ------------------------------------------------------------------ *)
 
 let bench_short = Sys.getenv_opt "BENCH_SHORT" <> None
@@ -231,18 +233,18 @@ type snapshot_row = {
 }
 
 let section_snapshot () =
-  Fmt.pr "@.== Snapshot modes: eager vs copy-on-write detection cost ==============@.";
+  Fmt.pr "@.== Snapshots: eager oracle vs copy-on-write detection cost ============@.";
   Fmt.pr "  (full detection phase per app; cow opens a write-barrier shadow per@.";
   Fmt.pr "   wrapped call and canonicalizes only on exceptional returns whose@.";
-  Fmt.pr "   dirty set reaches the snapshot; marks verified identical to eager)@.";
+  Fmt.pr "   dirty set reaches the snapshot; the eager side is the paper's@.";
+  Fmt.pr "   Listing 1 from test/oracle; marks verified identical)@.";
   let apps = snapshot_apps () in
   let reps = if bench_short then 1 else 3 in
-  let time_detect mode flavor program =
-    let config = { Config.default with Config.snapshot_mode = mode } in
+  let time_detect under flavor program =
     let best = ref infinity and result = ref None in
     for _ = 1 to reps do
       let t0 = Unix.gettimeofday () in
-      let r = Detect.run ~config ~flavor program in
+      let r = under (fun () -> Detect.run ~flavor program) in
       let dt = Unix.gettimeofday () -. t0 in
       if dt < !best then best := dt;
       result := Some r
@@ -256,8 +258,10 @@ let section_snapshot () =
       (fun (app : Registry.t) ->
         let program = Failatom_minilang.Minilang.parse app.Registry.source in
         let flavor = Harness.flavor_of_suite app.Registry.suite in
-        let eager_r, eager_s = time_detect Config.Snapshot_eager flavor program in
-        let cow_r, cow_s = time_detect Config.Snapshot_cow flavor program in
+        let eager_r, eager_s =
+          time_detect Failatom_oracle.Oracle.with_eager_snapshots flavor program
+        in
+        let cow_r, cow_s = time_detect (fun f -> f ()) flavor program in
         let t0 = Unix.gettimeofday () in
         ignore (Detect.compile flavor program);
         let image_s = Unix.gettimeofday () -. t0 in
@@ -687,8 +691,9 @@ let section_obs_overhead () =
    small amount of work (the stand-in for the paper's ~0.5 us method)
    and mutates one field of the receiver.  The masked variant is the
    same method with the atomicity filter attached, checkpointing the
-   whole chain on every call. *)
-let make_fig5_vm ~size ~strategy ~masked =
+   whole chain on every call (eagerly when the oracle's checkpoints are
+   substituted in, by copy-on-write otherwise). *)
+let make_fig5_vm ~size ~masked =
   let vm = Vm.create () in
   ignore (Vm.add_class vm "Node" ~fields:[ "v"; "next" ]);
   ignore (Vm.add_class vm "Holder" ~fields:[ "acc"; "data" ]);
@@ -717,15 +722,12 @@ let make_fig5_vm ~size ~strategy ~masked =
   in
   let wrapped = Vm.add_method vm "Holder" ~name:"wrappedOp" ~params:[] ~throws:[] work in
   ignore (Vm.add_method vm "Holder" ~name:"plainOp" ~params:[] ~throws:[] work);
-  if masked then begin
-    let config = { Config.default with Config.checkpoint_strategy = strategy } in
-    Vm.attach_filter wrapped (Mask.masking_filter config)
-  end;
+  if masked then Vm.attach_filter wrapped (Mask.masking_filter Config.default);
   (vm, Value.Ref holder)
 
 (* One measured iteration: 1000 calls, [per_mille] of them wrapped. *)
-let fig5_case ~size ~strategy ~masked ~per_mille =
-  let vm, holder = make_fig5_vm ~size ~strategy ~masked in
+let fig5_case ~size ~masked ~per_mille =
+  let vm, holder = make_fig5_vm ~size ~masked in
   fun () ->
     for i = 0 to 999 do
       let name = if i mod 1000 < per_mille then "wrappedOp" else "plainOp" in
@@ -735,16 +737,16 @@ let fig5_case ~size ~strategy ~masked ~per_mille =
 let sizes = [ 1; 4; 16; 64; 256; 1024 ]
 let ratios = [ (1, "0.1%"); (10, "1%"); (100, "10%"); (1000, "100%") ]
 
-let fig5_tests strategy =
+let fig5_tests =
   let cell ~name fn = Test.make ~name (Staged.stage fn) in
-  cell ~name:"baseline" (fig5_case ~size:64 ~strategy ~masked:false ~per_mille:0)
+  cell ~name:"baseline" (fig5_case ~size:64 ~masked:false ~per_mille:0)
   :: List.concat_map
        (fun size ->
          List.map
            (fun (per_mille, label) ->
              cell
                ~name:(Printf.sprintf "size=%04d/calls=%s" size label)
-               (fig5_case ~size ~strategy ~masked:true ~per_mille))
+               (fig5_case ~size ~masked:true ~per_mille))
            ratios)
        sizes
 
@@ -792,8 +794,12 @@ let print_overhead_table ~title ~group table =
 let section_fig5 () =
   Fmt.pr
     "@.== Figure 5: masking overhead vs checkpoint size and wrapped-call ratio ==@.";
-  Fmt.pr "  (eager checkpointing, as in the paper; 1000 calls per sample)@.";
-  let table = run_bechamel ~name:"fig5" (fig5_tests Checkpoint.Eager) in
+  Fmt.pr "  (eager checkpointing as in the paper, from the test/oracle library;@.";
+  Fmt.pr "   1000 calls per sample)@.";
+  let table =
+    Failatom_oracle.Oracle.with_eager_checkpoints (fun () ->
+        run_bechamel ~name:"fig5" fig5_tests)
+  in
   print_overhead_table ~title:"Figure 5: overhead factor (eager checkpointing)"
     ~group:"fig5" table
 
@@ -803,11 +809,11 @@ let section_fig5 () =
 
 let section_ablation () =
   Fmt.pr
-    "@.== Ablation: lazy (copy-on-write) checkpointing (paper 6.2 suggestion) ==@.";
-  let table = run_bechamel ~name:"lazy" (fig5_tests Checkpoint.Lazy) in
+    "@.== Ablation: copy-on-write checkpointing (paper 6.2 suggestion) =========@.";
+  let table = run_bechamel ~name:"cow" fig5_tests in
   print_overhead_table
-    ~title:"Lazy checkpointing: overhead factor (one mutated object per call)"
-    ~group:"lazy" table;
+    ~title:"Copy-on-write checkpointing: overhead factor (one mutated object per call)"
+    ~group:"cow" table;
   Fmt.pr
     "@.== Ablation: static exception-freedom inference (paper 4.3 future work) ==@.";
   Fmt.pr "%-14s %12s %12s %10s@." "Application" "injections" "with-infer" "saved";
@@ -1621,7 +1627,7 @@ let section_cluster () =
     Fmt.pr "  machine-readable results merged into %s@." server_json_file
 
 (* ------------------------------------------------------------------ *)
-(* Production masking: checkpoint vs copy-on-write rollback            *)
+(* Production masking: checkpoint oracle vs copy-on-write rollback     *)
 (* ------------------------------------------------------------------ *)
 
 let mask_json_file = "BENCH_mask.json"
@@ -1660,11 +1666,12 @@ let median = function
 
 let section_mask () =
   let module Plan = Failatom_prod.Plan in
-  let module Armed = Failatom_prod.Armed in
   let module Perturb = Failatom_prod.Perturb in
   let module Scorecard = Failatom_prod.Scorecard in
   let module Produce = Failatom_prod.Produce in
-  Fmt.pr "@.== Production masking: checkpoint vs cow rollback ======================@.";
+  Fmt.pr "@.== Production masking: checkpoint oracle vs cow rollback ===============@.";
+  Fmt.pr "  (cp = the paper's eager Listing 2 copy from test/oracle, substituted@.";
+  Fmt.pr "   into the armed wrappers; cow = the product rollback)@.";
   Fmt.pr "  (armed production runs with a rate-1000 at-exit canary: every wrapped@.";
   Fmt.pr "   call is perturbed, rolled back and retried; per-rollback cost comes@.";
   Fmt.pr "   from the scorecard timings, best of interleaved rounds)@.";
@@ -1705,12 +1712,10 @@ let section_mask () =
           None
         end
         else begin
-          let produce rollback =
-            match Produce.run ~rollback ~perturb ~times ~plan program with
+          let produce (label, under) =
+            match under (fun () -> Produce.run ~perturb ~times ~plan program) with
             | Ok r -> r
-            | Error msg ->
-              Fmt.failwith "mask bench: %s (%s): %s" app.Registry.name
-                (Armed.rollback_name rollback) msg
+            | Error msg -> Fmt.failwith "mask bench: %s (%s): %s" app.Registry.name label msg
           in
           (* per-call wrap and per-rollback cost of one produce set *)
           let costs (r : Produce.result) =
@@ -1734,8 +1739,10 @@ let section_mask () =
           let cow_wrap = ref infinity and cow_rb = ref infinity in
           let last_cp = ref None and last_cow = ref None in
           for _ = 1 to rounds do
-            let cp = produce Armed.Rb_checkpoint in
-            let cow = produce Armed.Rb_cow in
+            let cp =
+              produce ("checkpoint", Failatom_oracle.Oracle.with_eager_checkpoints)
+            in
+            let cow = produce ("cow", fun f -> f ()) in
             let w, b = costs cp in
             if b < !cp_rb then begin cp_wrap := w; cp_rb := b end;
             let w, b = costs cow in
@@ -1776,7 +1783,7 @@ let section_mask () =
   let median_speedup = median (List.map (fun r -> r.mr_speedup) large) in
   let pass_speedup = large = [] || median_speedup >= 2.0 in
   let pass = pass_identity && pass_speedup in
-  Fmt.pr "  outputs identical across rollback engines on every app: %b@."
+  Fmt.pr "  outputs identical to the eager oracle on every app: %b@."
     pass_identity;
   Fmt.pr "  median cow rollback speedup on large-graph apps (%s): %.2fx \
           (target >= 2.0x): %b@."

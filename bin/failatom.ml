@@ -158,23 +158,6 @@ let wrap_all_arg =
   in
   Arg.(value & flag & info [ "wrap-all" ] ~doc)
 
-let snapshot_mode_arg =
-  let doc =
-    "How detection wrappers capture the entry state: $(b,eager) \
-     canonicalizes the receiver's full object graph at every wrapped call \
-     (paper Listing 1), $(b,cow) opens a copy-on-write shadow and \
-     reconstructs the entry form only on exceptional returns whose dirty \
-     set reaches the snapshot — same marks, cost proportional to \
-     mutations instead of graph size."
-  in
-  let mode_conv =
-    Arg.enum [ ("eager", Config.Snapshot_eager); ("cow", Config.Snapshot_cow) ]
-  in
-  Arg.(
-    value
-    & opt mode_conv Config.default.Config.snapshot_mode
-    & info [ "snapshot-mode" ] ~docv:"MODE" ~doc)
-
 let run_timeout_arg =
   let doc =
     "Abort any single detection run after $(docv) seconds of wall-clock time \
@@ -270,11 +253,10 @@ let with_metrics metrics_out f =
         Fmt.epr "metrics written to %s@." path)
       f
 
-let config_of ~exception_free ~do_not_wrap ~wrap_all ~snapshot_mode =
+let config_of ~exception_free ~do_not_wrap ~wrap_all =
   { Config.default with
     Config.exception_free;
     do_not_wrap;
-    snapshot_mode;
     wrap_policy = (if wrap_all then Config.Wrap_all_non_atomic else Config.Wrap_pure) }
 
 let classification_code classification =
@@ -308,22 +290,6 @@ let run_cmd =
        from.  Refused if its program digest does not match $(i,PROGRAM)."
     in
     Arg.(value & opt (some string) None & info [ "plan" ] ~docv:"FILE" ~doc)
-  in
-  let rollback_arg =
-    let doc =
-      "Rollback engine of the armed wrappers: $(b,checkpoint) copies the \
-       protected graph at every call entry; $(b,cow) opens a copy-on-write \
-       shadow (O(1) entry) and restores only the dirty objects of the \
-       entry-time graph on the rare exceptional exit.  Both restore \
-       bitwise-identical graphs."
-    in
-    Arg.(
-      value
-      & opt
-          (Arg.enum
-             [ ("checkpoint", Prod.Armed.Rb_checkpoint); ("cow", Prod.Armed.Rb_cow) ])
-          Prod.Armed.Rb_checkpoint
-      & info [ "wrapper-rollback" ] ~docv:"ENGINE" ~doc)
   in
   let perturb_rate_arg =
     let doc =
@@ -379,13 +345,13 @@ let run_cmd =
     print_string !last_output;
     exit_ok
   in
-  let run_production program times ~plan_path ~rollback ~perturb ~resilience_out =
+  let run_production program times ~plan_path ~perturb ~resilience_out =
     match Prod.Plan.load_file plan_path with
     | Error msg ->
       Fmt.epr "failatom: %s: %s@." plan_path msg;
       exit_usage
     | Ok plan -> (
-      match Prod.Produce.run ~rollback ?perturb ~times ~plan program with
+      match Prod.Produce.run ?perturb ~times ~plan program with
       | Error msg ->
         (* stale plan: the program changed since detection *)
         Fmt.epr "failatom: %s@." msg;
@@ -408,7 +374,7 @@ let run_cmd =
          | None -> ());
         if Prod.Scorecard.failed scorecard > 0 then exit_non_atomic else exit_ok)
   in
-  let action spec engine times mode plan rollback perturb_rate perturb_seed
+  let action spec engine times mode plan perturb_rate perturb_seed
       perturb_max perturb_point resilience_out metrics_out =
     set_engine engine;
     with_program spec (fun program ->
@@ -421,7 +387,8 @@ let run_cmd =
           | `Normal, Some _ ->
             Fmt.epr "failatom: --plan requires --mode production@.";
             exit_usage
-          | `Normal, None -> run_normal program times
+          | `Normal, None ->
+            with_metrics metrics_out (fun () -> run_normal program times)
           | `Production, None ->
             Fmt.epr "failatom: --mode production requires --plan@.";
             exit_usage
@@ -437,8 +404,7 @@ let run_cmd =
               else None
             in
             with_metrics metrics_out (fun () ->
-                run_production program times ~plan_path ~rollback ~perturb
-                  ~resilience_out))
+                run_production program times ~plan_path ~perturb ~resilience_out))
   in
   let doc =
     "Run a MiniLang program and print its output; with $(b,--mode \
@@ -448,7 +414,7 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc ~exits)
     Term.(
       const action $ program_arg $ engine_arg $ times_arg $ mode_arg $ plan_arg
-      $ rollback_arg $ perturb_rate_arg $ perturb_seed_arg $ perturb_max_arg
+      $ perturb_rate_arg $ perturb_seed_arg $ perturb_max_arg
       $ perturb_point_arg $ resilience_out_arg $ metrics_out_arg)
 
 let csv_arg =
@@ -493,8 +459,8 @@ let emit_plan_arg =
   Arg.(value & opt (some string) None & info [ "emit-plan" ] ~docv:"FILE" ~doc)
 
 let detect_cmd =
-  let action spec engine flavor snapshot_mode prune schedules details
-      exception_free infer log coverage csv metrics_out emit_plan =
+  let action spec engine flavor prune schedules details exception_free infer log
+      coverage csv metrics_out emit_plan =
     set_engine engine;
     match expand_schedules schedules with
     | Error msg ->
@@ -505,7 +471,6 @@ let detect_cmd =
         let config =
           { Config.default with
             Config.infer_exception_free = infer;
-            snapshot_mode;
             prune;
             schedules }
         in
@@ -550,9 +515,9 @@ let detect_cmd =
   Cmd.v
     (Cmd.info "detect" ~doc ~exits)
     Term.(
-      const action $ program_arg $ engine_arg $ flavor_arg $ snapshot_mode_arg
-      $ prune_arg $ schedules_arg $ details_arg $ exception_free_arg $ infer_arg
-      $ log_arg $ coverage_arg $ csv_arg $ metrics_out_arg $ emit_plan_arg)
+      const action $ program_arg $ engine_arg $ flavor_arg $ prune_arg
+      $ schedules_arg $ details_arg $ exception_free_arg $ infer_arg $ log_arg
+      $ coverage_arg $ csv_arg $ metrics_out_arg $ emit_plan_arg)
 
 let campaign_cmd =
   let jobs_arg =
@@ -573,7 +538,7 @@ let campaign_cmd =
     in
     Arg.(value & flag & info [ "resume" ] ~doc)
   in
-  let action spec engine flavor snapshot_mode prune schedules jobs journal resume
+  let action spec engine flavor prune schedules jobs journal resume
       run_timeout_s details exception_free log csv metrics_out =
     set_engine engine;
     match expand_schedules schedules with
@@ -592,7 +557,7 @@ let campaign_cmd =
           in
           let report = Failatom_campaign.Progress.reporter Fmt.stderr in
           let config =
-            { Config.default with Config.snapshot_mode; prune; schedules }
+            { Config.default with Config.prune; schedules }
           in
           match
             with_metrics metrics_out (fun () ->
@@ -629,8 +594,8 @@ let campaign_cmd =
   Cmd.v
     (Cmd.info "campaign" ~doc ~exits)
     Term.(
-      const action $ program_arg $ engine_arg $ flavor_arg $ snapshot_mode_arg
-      $ prune_arg $ schedules_arg $ jobs_arg $ journal_arg $ resume_arg
+      const action $ program_arg $ engine_arg $ flavor_arg $ prune_arg
+      $ schedules_arg $ jobs_arg $ journal_arg $ resume_arg
       $ run_timeout_arg $ details_arg $ exception_free_arg $ log_arg $ csv_arg
       $ metrics_out_arg)
 
@@ -645,11 +610,11 @@ let weave_cmd =
   Cmd.v (Cmd.info "weave" ~doc ~exits) Term.(const action $ program_arg)
 
 let mask_cmd =
-  let action spec engine flavor snapshot_mode exception_free do_not_wrap wrap_all
-      show_source verify =
+  let action spec engine flavor exception_free do_not_wrap wrap_all show_source
+      verify =
     set_engine engine;
     with_program spec (fun program ->
-        let config = config_of ~exception_free ~do_not_wrap ~wrap_all ~snapshot_mode in
+        let config = config_of ~exception_free ~do_not_wrap ~wrap_all in
         match Mask.correct ~config ~flavor program with
         | exception Detect.Detection_error msg ->
           Fmt.epr "failatom: %s@." msg;
@@ -704,7 +669,7 @@ let mask_cmd =
   in
   Cmd.v (Cmd.info "mask" ~doc ~exits)
     Term.(
-      const action $ program_arg $ engine_arg $ flavor_arg $ snapshot_mode_arg
+      const action $ program_arg $ engine_arg $ flavor_arg
       $ exception_free_arg $ do_not_wrap_arg $ wrap_all_arg $ show_source_arg
       $ verify_arg)
 
@@ -1160,13 +1125,6 @@ let submit_cmd =
     in
     Arg.(value & opt (some string) None & info [ "plan" ] ~docv:"FILE" ~doc)
   in
-  let rollback_arg =
-    let doc = "Rollback engine of the armed wrappers ($(b,produce) mode)." in
-    Arg.(
-      value
-      & opt (some (Arg.enum [ ("checkpoint", "checkpoint"); ("cow", "cow") ])) None
-      & info [ "wrapper-rollback" ] ~docv:"ENGINE" ~doc)
-  in
   let perturb_rate_arg =
     let doc =
       "Canary perturbations per 1000 wrapped calls ($(b,produce) mode); \
@@ -1223,11 +1181,10 @@ let submit_cmd =
     let doc = "Write the corrected program of a mask-mode job to $(docv)." in
     Arg.(value & opt (some string) None & info [ "corrected" ] ~docv:"FILE" ~doc)
   in
-  let snapshot_wire snapshot_mode = snapshot_mode in
-  let action spec socket retries mode flavor snapshot_mode prune schedules infer
-      wrap_all exception_free do_not_wrap jobs run_timeout_s detach log
-      corrected_out plan_file rollback perturb_rate perturb_seed perturb_max
-      perturb_point times resilience_out =
+  let action spec socket retries mode flavor prune schedules infer wrap_all
+      exception_free do_not_wrap jobs run_timeout_s detach log corrected_out
+      plan_file perturb_rate perturb_seed perturb_max perturb_point times
+      resilience_out =
     (* Absent stays absent on the wire (an older server ignores the
        field); a given flag is expanded client-side so the server sees
        concrete specs. *)
@@ -1273,7 +1230,6 @@ let submit_cmd =
       let req =
         { (Protocol.default_request mode program) with
           Protocol.flavor;
-          snapshot = snapshot_wire snapshot_mode;
           prune;
           schedules;
           infer;
@@ -1283,7 +1239,6 @@ let submit_cmd =
           jobs;
           run_timeout_s;
           plan;
-          rollback;
           perturb_rate;
           perturb_seed;
           perturb_max;
@@ -1314,10 +1269,10 @@ let submit_cmd =
   Cmd.v (Cmd.info "submit" ~doc ~exits)
     Term.(
       const action $ program_arg $ socket_arg $ connect_retries_arg $ mode_arg
-      $ flavor_opt_arg $ snapshot_mode_arg $ prune_arg $ schedules_arg
-      $ infer_arg $ wrap_all_arg $ exception_free_arg $ do_not_wrap_arg
-      $ jobs_arg $ run_timeout_arg $ detach_arg $ log_arg $ corrected_arg
-      $ plan_file_arg $ rollback_arg $ perturb_rate_arg $ perturb_seed_arg
+      $ flavor_opt_arg $ prune_arg $ schedules_arg $ infer_arg $ wrap_all_arg
+      $ exception_free_arg $ do_not_wrap_arg $ jobs_arg $ run_timeout_arg
+      $ detach_arg $ log_arg $ corrected_arg $ plan_file_arg $ perturb_rate_arg
+      $ perturb_seed_arg
       $ perturb_max_arg $ perturb_point_arg $ produce_times_arg
       $ resilience_out_arg)
 

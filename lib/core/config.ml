@@ -5,8 +5,6 @@
    declares exception-free, which methods must not be wrapped, and the
    masking policy. *)
 
-open Failatom_runtime
-
 type wrap_policy =
   | Wrap_pure (* wrap only pure failure non-atomic methods (§4.3) *)
   | Wrap_all_non_atomic (* wrap every failure non-atomic method *)
@@ -19,21 +17,6 @@ let wrap_policy_of_name = function
   | "pure" -> Some Wrap_pure
   | "all" -> Some Wrap_all_non_atomic
   | _ -> None
-
-type snapshot_mode =
-  | Snapshot_eager
-      (* canonicalize the receiver's full object graph at every wrapped
-         call entry (paper Listing 1; the oracle the tests compare
-         against) *)
-  | Snapshot_cow
-      (* differential snapshots: open a copy-on-write shadow at entry
-         and reconstruct the entry-time canonical form only on the rare
-         exceptional return — detection cost proportional to mutations,
-         not graph size (paper §6.2 applied to detection) *)
-
-let snapshot_mode_name = function
-  | Snapshot_eager -> "eager"
-  | Snapshot_cow -> "cow"
 
 type prune =
   | Prune_off (* run every injection point, the paper's campaign *)
@@ -64,9 +47,6 @@ type t = {
   snapshot_args : bool;
       (* include object-valued arguments in snapshots/checkpoints (the
          paper's C++ flavor does; its Java flavor covers [this] only) *)
-  snapshot_mode : snapshot_mode;
-      (* how the detection wrapper captures the entry state *)
-  checkpoint_strategy : Checkpoint.strategy;
   wrap_policy : wrap_policy;
   exception_free : Method_id.t list;
       (* methods the user asserts never throw: injections whose site is
@@ -93,8 +73,6 @@ type t = {
 let default =
   { runtime_exceptions = [ "NullPointerException"; "OutOfMemoryError" ];
     snapshot_args = true;
-    snapshot_mode = Snapshot_eager;
-    checkpoint_strategy = Checkpoint.Eager;
     wrap_policy = Wrap_pure;
     exception_free = [];
     infer_exception_free = false;
@@ -114,13 +92,12 @@ let injectable config ~declared =
    configs with equal fingerprints produce identical run records on the
    same program — the contract the server's result cache relies on.
    The leading version tag must change whenever a field is added or its
-   rendering changes, invalidating stale cache entries. *)
+   rendering changes, invalidating stale cache entries.  The two
+   "eager" slots are retired fields (the snapshot mode and checkpoint
+   strategy, which never influenced results): they keep their former
+   default spelling so fingerprints recorded before the fields were
+   retired — in stored plans and cache entries — still match. *)
 let fingerprint (c : t) =
-  let strategy =
-    match c.checkpoint_strategy with
-    | Checkpoint.Eager -> "eager"
-    | Checkpoint.Lazy -> "lazy"
-  in
   let policy = wrap_policy_name c.wrap_policy in
   let methods ms =
     String.concat "," (List.sort compare (List.map Method_id.to_string ms))
@@ -130,8 +107,8 @@ let fingerprint (c : t) =
       [ "cfg3";
         String.concat "," c.runtime_exceptions;
         string_of_bool c.snapshot_args;
-        snapshot_mode_name c.snapshot_mode;
-        strategy;
+        "eager";
+        "eager";
         policy;
         methods c.exception_free;
         string_of_bool c.infer_exception_free;

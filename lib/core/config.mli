@@ -5,8 +5,6 @@
     declares exception-free, which methods must not be wrapped, and the
     masking policy. *)
 
-open Failatom_runtime
-
 type wrap_policy =
   | Wrap_pure
       (** wrap only pure failure non-atomic methods: conditional ones
@@ -18,20 +16,6 @@ val wrap_policy_name : wrap_policy -> string
     serialized detection plan. *)
 
 val wrap_policy_of_name : string -> wrap_policy option
-
-type snapshot_mode =
-  | Snapshot_eager
-      (** canonicalize the receiver's full object graph at every wrapped
-          call entry (paper Listing 1; the oracle the equivalence tests
-          compare against) *)
-  | Snapshot_cow
-      (** differential snapshots: open a copy-on-write {!Shadow} at
-          entry and reconstruct the entry-time canonical form only on
-          the rare exceptional return, after intersecting the dirty set
-          with the snapshot's reachable ids — detection cost
-          proportional to mutations, not graph size *)
-
-val snapshot_mode_name : snapshot_mode -> string
 
 type prune =
   | Prune_off  (** run every injection point — the paper's campaign *)
@@ -57,10 +41,6 @@ type t = {
   snapshot_args : bool;
       (** include reference arguments in snapshots/checkpoints (the
           paper's C++ flavor does; its Java flavor covers [this] only) *)
-  snapshot_mode : snapshot_mode;
-      (** how the detection wrapper captures the entry state (default
-          [Snapshot_eager]; both modes produce identical marks) *)
-  checkpoint_strategy : Checkpoint.strategy;
   wrap_policy : wrap_policy;
   exception_free : Method_id.t list;
       (** methods asserted to never throw: injections sited in them are
@@ -87,8 +67,9 @@ type t = {
 
 val default : t
 (** Generic exceptions [NullPointerException] and [OutOfMemoryError],
-    snapshots covering reference arguments, eager snapshots and
-    checkpointing, the wrap-pure policy, and no user annotations. *)
+    snapshots covering reference arguments, the wrap-pure policy, and
+    no user annotations.  Snapshots and checkpoints are always
+    copy-on-write; there is nothing to configure about them. *)
 
 val injectable : t -> declared:string list -> string list
 (** All exception classes injectable into a method with the given

@@ -28,21 +28,23 @@ let h_canon = Obs.histogram ~unit_:Obs.Ns "detect.canonicalize"
 let m_memo_hits = Obs.counter "detect.canon_memo_hits"
 let m_memo_misses = Obs.counter "detect.canon_memo_misses"
 
-(* The entry state captured by a wrapped call, per the configured
-   snapshot mode:
+(* The entry state captured by a wrapped call: a copy-on-write
+   {!Shadow} plus the snapshot roots (paper §6.2 applied to detection).
+   Nothing is traversed at entry; on the rare exceptional return the
+   shadow's dirty set is intersected with the ids reachable from the
+   roots, and only if they overlap is the entry-time canonical form
+   reconstructed (current heap, saved payloads preferred for dirty ids)
+   and compared — so a call's detection cost is proportional to what it
+   mutated, not to the graph it could reach.
 
-   - [Eager_snap]: the canonical form of the receiver's object graph,
-     built at entry (paper Listing 1) — O(graph) per call;
-   - [Cow_snap]: a copy-on-write {!Shadow} plus the snapshot roots.
-     Nothing is traversed at entry; on the rare exceptional return the
-     shadow's dirty set is intersected with the ids reachable from the
-     roots, and only if they overlap is the entry-time canonical form
-     reconstructed (current heap, saved payloads preferred for dirty
-     ids) and compared — so a call's detection cost is proportional to
-     what it mutated, not to the graph it could reach. *)
+   [Entry_form] exists for the test seam only: a canonical form the
+   substituted capture function built at entry (the paper's literal
+   Listing 1), compared against the exit form as is. *)
 type snapshot =
-  | Eager_snap of Object_graph.node
   | Cow_snap of { shadow : Shadow.t; roots : Value.t list }
+  | Entry_form of Object_graph.node
+
+let substitute : (Heap.t -> Value.t list -> Object_graph.node) option ref = ref None
 
 type state = {
   config : Config.t;
@@ -115,21 +117,20 @@ let memo_canon state heap roots =
   else Obs.incr m_memo_misses;
   form
 
-let take_snapshot_of state vm roots =
+let take_snapshot_of vm roots =
   Obs.incr m_snapshots;
-  match state.config.Config.snapshot_mode with
-  | Config.Snapshot_eager -> Eager_snap (memo_canon state vm.Vm.heap roots)
-  | Config.Snapshot_cow -> Cow_snap { shadow = Shadow.open_ vm.Vm.heap; roots }
+  match !substitute with
+  | None -> Cow_snap { shadow = Shadow.open_ vm.Vm.heap; roots }
+  | Some capture -> Entry_form (Obs.timed h_canon (fun () -> capture vm.Vm.heap roots))
 
 let take_snapshot state vm recv args =
-  take_snapshot_of state vm (snapshot_roots state recv args)
+  take_snapshot_of vm (snapshot_roots state recv args)
 
 (* Discards a snapshot whose call returned normally (or whose mark was
-   dropped): eager forms are garbage, cow shadows must detach from the
-   write barrier. *)
+   dropped): its shadow must detach from the write barrier. *)
 let release_snapshot = function
-  | Eager_snap _ -> ()
   | Cow_snap { shadow; _ } -> Shadow.close shadow
+  | Entry_form _ -> ()
 
 (* The injection points of Listing 1, lines 2-5: one potential point per
    injectable exception type.  Returns the exception to inject when the
@@ -189,7 +190,7 @@ let mark_verdict state id ~before ~after ~exn_id =
    snapshot (cow shadows are closed). *)
 let check_and_mark state vm id snapshot roots ~exn_id =
   match snapshot with
-  | Eager_snap before ->
+  | Entry_form before ->
     let after = memo_canon state vm.Vm.heap roots in
     mark_verdict state id ~before ~after ~exn_id
   | Cow_snap { shadow; roots } ->
@@ -302,7 +303,7 @@ let register_hooks state vm =
   Vm.register_hook vm "__snapshot" (fun vm args ->
       match args with
       | [ recv; args_array ] ->
-        let snapshot = take_snapshot_of state vm (roots_of state vm recv args_array) in
+        let snapshot = take_snapshot_of vm (roots_of state vm recv args_array) in
         let token = state.next_token in
         state.next_token <- token + 1;
         Hashtbl.replace state.snapshots token snapshot;

@@ -16,14 +16,22 @@
 open Failatom_runtime
 
 type snapshot =
-  | Eager_snap of Object_graph.node
-      (** canonical form of the entry graph (paper Listing 1) *)
   | Cow_snap of { shadow : Shadow.t; roots : Value.t list }
       (** differential snapshot: a copy-on-write shadow opened at entry;
           the entry-time form is reconstructed only on an exceptional
           return whose dirty set intersects the reachable ids *)
-(** The entry state captured by a wrapped call, per
-    {!Config.snapshot_mode}.  Both modes yield identical marks. *)
+  | Entry_form of Object_graph.node
+      (** test seam only: the canonical entry form built by
+          {!substitute} *)
+(** The entry state captured by a wrapped call. *)
+
+val substitute : (Heap.t -> Value.t list -> Object_graph.node) option ref
+(** Test seam.  When [Some capture], every wrapped call captures
+    [capture heap roots] at entry instead of opening a shadow, and an
+    exceptional return compares it with the exit form.  The test suite
+    sets it to the paper's literal Listing 1 (canonicalize the whole
+    graph at entry) to diff the copy-on-write marks against it; [None]
+    (the default) in every product path. *)
 
 type state = {
   config : Config.t;

@@ -42,52 +42,60 @@ let checkpoint_roots (config : Config.t) recv args =
   if config.Config.snapshot_args then recv :: List.filter Value.is_ref args
   else [ recv ]
 
-let take_checkpoint config vm recv args =
-  Checkpoint.take ~strategy:config.Config.checkpoint_strategy vm.Vm.heap
+(* With [snapshot_args] off the roots omit the reference arguments, so
+   they are not a complete description of what the call can reach. *)
+let take_checkpoint (config : Config.t) vm recv args =
+  Checkpoint.take ~complete:config.Config.snapshot_args vm.Vm.heap
     (checkpoint_roots config recv args)
 
 (* ------------------------------------------------------------------ *)
 (* Binary flavor: atomicity filter                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* The checkpoints of a filter's in-flight wrapped calls.  Nested
+   wrapped calls push and pop in LIFO order, mirroring each thread's
+   call stack.  The stacks are per-thread: under a preemptive schedule
+   two threads' wrapped calls interleave arbitrarily, and a shared stack
+   would let one thread's [post] pop — and roll back — another thread's
+   checkpoint. *)
+type entries = (int, Checkpoint.t list) Hashtbl.t
+
+let entries () : entries = Hashtbl.create 4
+
+let stack_of entries vm =
+  Option.value ~default:[] (Hashtbl.find_opt entries vm.Vm.cur_tid)
+
+let enter entries config vm recv args =
+  Hashtbl.replace entries vm.Vm.cur_tid
+    (take_checkpoint config vm recv args :: stack_of entries vm)
+
+let leave entries vm ~rollback =
+  match stack_of entries vm with
+  | [] -> ()
+  | cp :: rest ->
+    Hashtbl.replace entries vm.Vm.cur_tid rest;
+    if rollback then Checkpoint.rollback cp;
+    Checkpoint.dispose cp
+
 let masking_filter config =
-  (* Nested wrapped calls push and pop in LIFO order, mirroring each
-     thread's call stack.  The stacks are per-thread: under a preemptive
-     schedule two threads' wrapped calls interleave arbitrarily, and a
-     shared stack would let one thread's [post] pop — and roll back —
-     another thread's checkpoint. *)
-  let stacks : (int, Checkpoint.t list) Hashtbl.t = Hashtbl.create 4 in
-  let stack_of vm =
-    Option.value ~default:[] (Hashtbl.find_opt stacks vm.Vm.cur_tid)
-  in
-  let pop vm ~rollback =
-    match stack_of vm with
-    | [] -> None
-    | cp :: rest ->
-      Hashtbl.replace stacks vm.Vm.cur_tid rest;
-      if rollback then Checkpoint.rollback cp;
-      Checkpoint.dispose cp;
-      Some ()
-  in
+  let entries = entries () in
   { Vm.filt_name = "masking";
     pre =
       (fun vm _meth recv args ->
-        Hashtbl.replace stacks vm.Vm.cur_tid
-          (take_checkpoint config vm recv args :: stack_of vm);
+        enter entries config vm recv args;
         Vm.Proceed);
     post =
       (fun vm _meth _recv _args result ->
-        let rollback = Result.is_error result in
-        ignore (pop vm ~rollback : unit option);
+        leave entries vm ~rollback:(Result.is_error result);
         Vm.Pass);
     unwind =
       (fun vm _meth ->
         (* An OCaml-level abort (deadline, scheduler unwind) ends the
            call exceptionally without running [post]: roll the entry
            back and dispose it, exactly as an exceptional return would —
-           leaving it would leak the checkpoint (and keep a lazy
-           shadow attached to the write barrier forever). *)
-        ignore (pop vm ~rollback:true : unit option)) }
+           leaving it would leak the checkpoint and keep its shadow
+           attached to the write barrier forever. *)
+        leave entries vm ~rollback:true) }
 
 (* Attaches atomicity wrappers to the target methods of a compiled
    program (load-time masking, no source access). *)

@@ -17,8 +17,28 @@ val targets : Config.t -> Classify.t -> Method_id.Set.t
 
 val checkpoint_roots : Config.t -> Value.t -> Value.t list -> Value.t list
 (** The roots a wrapped call protects: the receiver, plus the reference
-    arguments when [snapshot_args] is set.  Shared with the production
-    armed wrappers so both rollback engines cover the same graph. *)
+    arguments when [snapshot_args] is set.  The production canary
+    validates the same graph the wrappers protect. *)
+
+(** {2 In-flight wrapped calls}
+
+    The entry checkpoints of one filter's wrapped calls, on per-thread
+    LIFO stacks (recursion nests; preemptive schedules interleave
+    threads).  Shared by {!masking_filter} and the production armed
+    wrappers. *)
+
+type entries
+
+val entries : unit -> entries
+
+val enter : entries -> Config.t -> Vm.t -> Value.t -> Value.t list -> unit
+(** Checkpoints the {!checkpoint_roots} of a call entering on the
+    current thread (complete roots only when they include the reference
+    arguments). *)
+
+val leave : entries -> Vm.t -> rollback:bool -> unit
+(** Pops the current thread's innermost entry, rolls it back if asked,
+    and disposes it.  A no-op on an empty stack. *)
 
 val masking_filter : Config.t -> Vm.filter
 (** A fresh atomicity filter (Listing 2 as a pre/post filter).  One

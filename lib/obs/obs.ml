@@ -603,12 +603,24 @@ let fmt_ns ns =
 
 let fmt_value ~unit_ v = if String.equal unit_ "ns" then fmt_ns v else string_of_int v
 
+(* Every registered metric is in every snapshot, so a plain detect
+   would list the server, cluster, mask and prod phases as rows of
+   zeros.  A phase is shown only if at least one of its metrics
+   recorded something; inside a shown phase, zero rows stay (a zero
+   next to live siblings is information). *)
 let pp_table ppf snap =
+  let active = Hashtbl.create 8 in
+  let note name recorded = if recorded then Hashtbl.replace active (phase_of name) () in
+  List.iter (fun (name, v) -> note name (v <> 0)) snap.s_counters;
+  List.iter (fun (name, v) -> note name (v <> 0)) snap.s_gauges;
+  List.iter (fun (name, h) -> note name (h.hs_count > 0)) snap.s_histograms;
   let phases = Hashtbl.create 8 in
   let push name line =
     let phase = phase_of name in
-    let existing = try Hashtbl.find phases phase with Not_found -> [] in
-    Hashtbl.replace phases phase ((name, line) :: existing)
+    if Hashtbl.mem active phase then begin
+      let existing = try Hashtbl.find phases phase with Not_found -> [] in
+      Hashtbl.replace phases phase ((name, line) :: existing)
+    end
   in
   List.iter
     (fun (name, v) -> push name (Printf.sprintf "%-34s counter %14d" name v))

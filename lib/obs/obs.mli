@@ -119,4 +119,6 @@ val parse_json : string -> snap
 val pp_table : Format.formatter -> snap -> unit
 (** The per-phase table rendered by [failatom stats]: metrics grouped
     by name prefix (compile, vm, heap, detect, campaign, then others),
-    with count/total/mean/p50/p99/max per histogram. *)
+    with count/total/mean/p50/p99/max per histogram.  Phases in which
+    no metric recorded anything (all counters and gauges zero, all
+    histograms empty) are left out. *)

@@ -6,18 +6,12 @@
     call that returns normally — as close to free as possible, and keep
     per-method evidence that the masking is earning its keep.
 
-    Two rollback engines are available behind one interface:
-
-    - {!Rb_checkpoint} delegates to {!Failatom_runtime.Checkpoint} under
-      the configured strategy — the detection-phase machinery, used as
-      the reference semantics.
-    - {!Rb_cow} opens a copy-on-write {!Failatom_runtime.Shadow} at
-      entry (O(1), nothing copied) and, only on an exceptional exit,
-      restores the saved payloads of the dirty objects that lie inside
-      the entry-time reachable graph of the protected roots.  The
-      restored graph is bitwise-identical to what a checkpoint rollback
-      of the same call would produce; the entry cost no longer scales
-      with graph size.
+    Each wrapped call takes a copy-on-write
+    {!Failatom_runtime.Checkpoint} at entry — the same one
+    detection-phase masking takes: an O(1) shadow open, nothing copied.
+    Only on an exceptional exit does it restore the saved payloads of
+    the dirty objects of the entry-time graph, so the entry cost does
+    not scale with graph size.
 
     One {!t} accumulates statistics across every VM it arms, so a
     multi-run production campaign reports totals, not per-run
@@ -25,13 +19,6 @@
 
 open Failatom_core
 open Failatom_runtime
-
-type rollback = Rb_checkpoint | Rb_cow
-
-val rollback_name : rollback -> string
-(** ["checkpoint"] / ["cow"]. *)
-
-val rollback_of_name : string -> rollback option
 
 type method_stats = private {
   mutable ms_calls : int;  (** wrapped calls entered *)
@@ -43,15 +30,11 @@ type method_stats = private {
 
 type t
 
-val create :
-  ?rollback:rollback -> config:Config.t -> targets:Method_id.Set.t ->
-  unit -> t
+val create : config:Config.t -> targets:Method_id.Set.t -> unit -> t
 (** A stats-accumulating wrapper set for the given target methods.
-    [config] supplies the checkpoint strategy and the root policy
-    (receiver only vs receiver plus reference arguments), exactly as in
-    detection-phase masking.  Default rollback: {!Rb_checkpoint}. *)
+    [config] supplies the root policy (receiver only vs receiver plus
+    reference arguments), exactly as in detection-phase masking. *)
 
-val rollback_mode : t -> rollback
 val targets : t -> Method_id.Set.t
 
 val arm : t -> Vm.t -> unit

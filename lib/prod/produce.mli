@@ -34,13 +34,11 @@ type result = {
 }
 
 val run :
-  ?config:Config.t -> ?rollback:Armed.rollback -> ?perturb:perturb_spec ->
+  ?config:Config.t -> ?perturb:perturb_spec ->
   ?policy:Sched.policy -> ?times:int -> plan:Plan.t -> Ast.program ->
   (result, string) Stdlib.result
 (** Runs [times] (default 1) production executions of the program with
     the plan's targets armed.  [config] (default {!Config.default})
-    supplies the checkpoint strategy and root policy; [rollback]
-    (default {!Armed.Rb_checkpoint}) selects the rollback engine;
-    [perturb] enables the canary channel.  Statistics accumulate across
-    all runs into one scorecard.  [Error] when the plan does not match
-    the program's digest. *)
+    supplies the root policy; [perturb] enables the canary channel.
+    Statistics accumulate across all runs into one scorecard.  [Error]
+    when the plan does not match the program's digest. *)

@@ -71,7 +71,7 @@ let build ~program_digest ~armed ?perturb ~runs () =
       (Armed.per_method armed)
   in
   { program_digest;
-    rollback = Armed.rollback_name (Armed.rollback_mode armed);
+    rollback = "cow";
     seed = (match perturb with None -> 0 | Some p -> Perturb.seed_of p);
     rate = (match perturb with None -> 0 | Some p -> Perturb.rate_of p);
     point =

@@ -32,7 +32,9 @@ type timing_row = { t_id : Method_id.t; t_wrap_ns : int; t_rollback_ns : int }
 
 type t = {
   program_digest : string;
-  rollback : string;  (** "checkpoint" / "cow" *)
+  rollback : string;
+      (** the rollback mechanism: always ["cow"] from this producer;
+          scorecards written earlier may read ["checkpoint"] *)
   seed : int;
   rate : int;  (** per-mille *)
   point : string;  (** "entry" / "exit" *)

@@ -1,75 +1,86 @@
-(* Checkpoint / rollback of object graphs (paper Listing 2).
+(* Checkpoint / rollback of object graphs (paper Listing 2), by
+   copy-on-write (paper §6.2).
 
-   A checkpoint captures, for every object reachable from its roots, a
-   copy of that object's payload keyed by the object's identity.
-   Rollback restores the captured payloads *in place*, so every alias of
-   a checkpointed object observes the rolled-back state — exactly the
-   paper's [replace(this, objgraph)].  Objects allocated after the
-   checkpoint become garbage after rollback and are reclaimed by
-   {!Gc_heap.collect} (the paper used reference counting plus an
-   off-the-shelf collector for cycles).
+   A checkpoint opens a {!Shadow}: nothing is traversed or copied at
+   entry, and the heap's write barrier saves an object's payload the
+   first time it is mutated while the checkpoint is active.  The entry
+   keeps its roots plus three O(1) readings of the heap: the allocation
+   watermark, the write generation, and the calling thread's own write
+   count.  Rollback must restore exactly the graph those roots reached
+   at entry — what the paper's eager copy of the same roots restores —
+   and nothing else.
 
-   Two strategies are provided:
-   - [Eager]: traverse the graph at checkpoint time and copy every
-     reachable payload up front (the paper's implementation);
-   - [Lazy]: copy-on-write — the optimization suggested in §6.2 of the
-     paper for large objects, implemented as a {!Shadow}: nothing is
-     copied up front; the heap's write barrier saves an object's payload
-     the first time it is mutated while the checkpoint is active.
-     Shadows nest, so nested wrapped calls each get a correct
-     snapshot. *)
+   With complete roots and no foreign write during the call, every
+   dirty object that already existed at entry was reachable from the
+   roots (the protected code has no other source of references), so
+   restoring every saved object below the watermark equals the eager
+   restore, in O(dirty).  Objects allocated during the call (including
+   an in-flight exception) stay as they are, exactly as an eager
+   checkpoint of the entry graph leaves them.  When another thread did
+   write during the call, its saves share our shadow; then, as with
+   incomplete roots, restore only the dirty objects reachable from the
+   roots at entry, leaving unrelated work in place. *)
 
-type strategy = Eager | Lazy
+type cow = {
+  shadow : Shadow.t;
+  roots : Value.t list;
+  complete : bool;
+  tid : int;
+  gen : int;  (* write generation at entry *)
+  own : int;  (* the calling thread's own write count at entry *)
+  mark : Value.obj_id;  (* allocation watermark at entry *)
+}
 
-type t =
-  | Eager_cp of { heap : Heap.t; saved : (Value.obj_id, Heap.payload) Hashtbl.t }
-  | Lazy_cp of Shadow.t
+type reference = {
+  ref_size : unit -> int;
+  ref_rollback : unit -> unit;
+  ref_dispose : unit -> unit;
+}
 
-let reachable_ids heap roots =
-  let visited = Hashtbl.create 64 in
-  let rec visit v =
-    match (v : Value.t) with
-    | Value.Int _ | Value.Bool _ | Value.Str _ | Value.Null -> ()
-    | Value.Ref id ->
-      if not (Hashtbl.mem visited id) then begin
-        Hashtbl.replace visited id ();
-        List.iter (fun r -> visit (Value.Ref r)) (Heap.successors heap id)
-      end
-  in
-  List.iter visit roots;
-  visited
+type t = Cow of cow | Reference of reference
 
-(* Takes a checkpoint covering everything reachable from [roots]. *)
-let take ?(strategy = Eager) heap roots =
-  match strategy with
-  | Eager ->
-    let saved = Hashtbl.create 64 in
-    let ids = reachable_ids heap roots in
-    Hashtbl.iter
-      (fun id () -> Hashtbl.replace saved id (Heap.copy_payload (Heap.get heap id)))
-      ids;
-    Eager_cp { heap; saved }
-  | Lazy -> Lazy_cp (Shadow.open_ heap)
+let substitute : (Heap.t -> Value.t list -> reference) option ref = ref None
 
-(* Number of payloads captured so far (for lazy checkpoints this grows
-   as the wrapped call mutates state). *)
+let take ?(complete = true) heap roots =
+  match !substitute with
+  | Some f -> Reference (f heap roots)
+  | None ->
+    let tid = heap.Heap.cur_tid in
+    Cow
+      { shadow = Shadow.open_ heap;
+        roots;
+        complete;
+        tid;
+        gen = Heap.write_gen heap;
+        own = Heap.writes_by_tid heap tid;
+        mark = heap.Heap.next_id }
+
 let size = function
-  | Eager_cp { saved; _ } -> Hashtbl.length saved
-  | Lazy_cp shadow -> Shadow.dirty_count shadow
+  | Cow c -> Shadow.dirty_count c.shadow
+  | Reference r -> r.ref_size ()
 
-(* Detaches a lazy checkpoint from the write barrier.  Must be called
-   exactly once, whether or not the checkpoint was rolled back. *)
 let dispose = function
-  | Eager_cp _ -> ()
-  | Lazy_cp shadow -> Shadow.close shadow
+  | Cow c -> Shadow.close c.shadow
+  | Reference r -> r.ref_dispose ()
 
-(* Rolls every captured object back to its checkpointed payload. *)
 let rollback = function
-  | Eager_cp { heap; saved } ->
-    Hashtbl.iter (fun id payload -> Heap.restore_payload heap id payload) saved
-  | Lazy_cp shadow ->
-    Shadow.iter_saved shadow (Heap.restore_payload (Shadow.heap shadow))
+  | Reference r -> r.ref_rollback ()
+  | Cow { shadow; roots; complete; tid; gen; own; mark } ->
+    if Shadow.dirty_count shadow > 0 then begin
+      let heap = Shadow.heap shadow in
+      let foreign =
+        Heap.write_gen heap - gen > Heap.writes_by_tid heap tid - own
+      in
+      if complete && not foreign then
+        Shadow.iter_saved shadow (fun id payload ->
+            if id < mark then Heap.restore_payload heap id payload)
+      else begin
+        let reachable = Object_graph.reachable_via (Shadow.read_before shadow) roots in
+        Shadow.iter_saved shadow (fun id payload ->
+            if Hashtbl.mem reachable id then Heap.restore_payload heap id payload)
+      end
+    end
 
-let with_checkpoint ?strategy heap roots f =
-  let cp = take ?strategy heap roots in
+let with_checkpoint heap roots f =
+  let cp = take heap roots in
   Fun.protect ~finally:(fun () -> dispose cp) (fun () -> f cp)

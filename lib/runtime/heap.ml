@@ -6,9 +6,9 @@
    barrier feeds two consumers:
 
    - the heap's own stack of active {e shadows} — copy-on-write
-     dirty-set/saved-payload records underlying both the lazy
-     checkpoint strategy of {!Checkpoint} and the differential
-     detection snapshots of the injector (see {!Shadow});
+     dirty-set/saved-payload records underlying both the checkpoints
+     of {!Checkpoint} and the differential detection snapshots of the
+     injector (see {!Shadow});
    - an optional external hook ([on_write]), kept for tests and tools.
 
    The shadow stack is per-heap state, so campaigns running one VM per

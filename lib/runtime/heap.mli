@@ -4,7 +4,7 @@
     by an integer identity.  The heap exposes a write barrier that fires
     before any mutation (or {!free}) of an object's payload.  The
     barrier feeds the heap's own stack of active copy-on-write
-    {!type-shadow}s — the dirty-set/saved-payload layer shared by lazy
+    {!type-shadow}s — the dirty-set/saved-payload layer shared by
     checkpoints ({!Checkpoint}) and differential detection snapshots
     ({!Shadow}) — and then an optional external hook
     ({!field-on_write}). *)

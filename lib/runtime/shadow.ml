@@ -8,8 +8,8 @@
    graph.  This is the paper's §6.2 copy-on-write suggestion promoted to
    a shared layer:
 
-   - {!Checkpoint} implements its [Lazy] strategy as a shadow whose
-     saved payloads are restored on rollback;
+   - {!Checkpoint} is a shadow whose saved payloads (those of the
+     entry-time graph) are restored on rollback;
    - the detection engine ({!Failatom_core.Injection}) opens one shadow
      per wrapped call instead of canonicalizing the receiver's object
      graph, and reconstructs the entry-time canonical form on the rare
@@ -28,7 +28,7 @@ type t = {
 }
 
 (* Distribution of dirty-set sizes over closed shadows: how much the
-   calls covered by cow snapshots / lazy checkpoints actually mutate.
+   calls covered by cow snapshots / checkpoints actually mutate.
    Recorded at close time only, so the write barrier stays untouched. *)
 let h_dirty = Failatom_obs.Obs.histogram ~unit_:Failatom_obs.Obs.Items "heap.shadow.dirty_size"
 
@@ -47,7 +47,7 @@ let close t =
   t.s.Heap.shadow_active <- false;
   (* wrapped calls close in LIFO order, so the common case is popping
      the innermost shadow; the filter handles out-of-order closes
-     (e.g. an eager-mode checkpoint disposed under a cow detector) *)
+     (e.g. a checkpoint released out of order by an unwind) *)
   t.heap.Heap.shadows <-
     (match t.heap.Heap.shadows with
      | s :: rest when s == t.s -> rest

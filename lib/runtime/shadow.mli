@@ -4,9 +4,9 @@
     the pre-write payload of every object mutated (or freed) while it is
     active.  Opening is O(1); the shadow's cost is proportional to the
     number of objects actually touched, not to any graph size.  This is
-    the shared dirty-set/saved-payload layer behind both the [Lazy]
-    strategy of {!Checkpoint} and the differential detection snapshots
-    of {!Failatom_core.Injection} (paper §6.2).
+    the shared dirty-set/saved-payload layer behind both {!Checkpoint}
+    and the differential detection snapshots of
+    {!Failatom_core.Injection} (paper §6.2).
 
     Shadows nest freely (one per wrapped call); the heap keeps the
     active ones and its barrier feeds them all.  A shadow is confined to

@@ -54,7 +54,6 @@ type job_request = {
   program : program_spec;
   flavor : Detect.flavor option;
       (* None: the app's suite default, or source weaving for inline *)
-  snapshot : Config.snapshot_mode;
   prune : Config.prune;  (* campaign pruning; absent on the wire = off *)
   schedules : string list;
       (* schedule specs crossed with the injection axis for concurrent
@@ -69,7 +68,6 @@ type job_request = {
   (* production (produce-mode) parameters; all absent on the wire for
      the other modes, so older peers interoperate unchanged *)
   plan : string option;  (* failatom.plan/1 JSON text *)
-  rollback : string option;  (* "checkpoint" | "cow"; None = checkpoint *)
   perturb_rate : int option;  (* canary rate per mille; None/0 = off *)
   perturb_seed : int option;
   perturb_max : int option;
@@ -81,7 +79,6 @@ let default_request mode program =
   { mode;
     program;
     flavor = None;
-    snapshot = Config.Snapshot_eager;
     prune = Config.Prune_off;
     schedules = [];
     infer = false;
@@ -91,7 +88,6 @@ let default_request mode program =
     jobs = None;
     run_timeout_s = None;
     plan = None;
-    rollback = None;
     perturb_rate = None;
     perturb_seed = None;
     perturb_max = None;
@@ -160,7 +156,6 @@ let request_to_json = function
         ("mode", Json.Str (mode_name r.mode));
         ("program", program);
         ("flavor", opt (fun f -> Json.Str (flavor_wire_name f)) r.flavor);
-        ("snapshot", Json.Str (Config.snapshot_mode_name r.snapshot));
         ("prune", Json.Str (Config.prune_name r.prune));
         ("schedules", Json.List (List.map (fun s -> Json.Str s) r.schedules));
         ("infer", Json.Bool r.infer);
@@ -170,7 +165,6 @@ let request_to_json = function
         ("jobs", opt (fun n -> Json.Int n) r.jobs);
         ("run_timeout_s", opt (fun s -> Json.Float s) r.run_timeout_s);
         ("plan", opt (fun s -> Json.Str s) r.plan);
-        ("rollback", opt (fun s -> Json.Str s) r.rollback);
         ("perturb_rate", opt (fun n -> Json.Int n) r.perturb_rate);
         ("perturb_seed", opt (fun n -> Json.Int n) r.perturb_seed);
         ("perturb_max", opt (fun n -> Json.Int n) r.perturb_max);
@@ -285,12 +279,20 @@ let submit_of_json j =
       | None -> Error ("unknown flavor " ^ name))
     | Some _ -> Error "flavor must be a string"
   in
-  let* snapshot =
-    match Json.str_member "snapshot" j with
-    | None | Some "eager" -> Ok Config.Snapshot_eager
-    | Some "cow" -> Ok Config.Snapshot_cow
-    | Some s -> Error ("unknown snapshot mode " ^ s)
+  (* Retired fields: capture is always copy-on-write.  Requests from
+     older clients may still name a snapshot mode or rollback engine;
+     every value those clients could send is accepted and has no effect
+     (the engines were result-identical), anything else is still a
+     protocol error. *)
+  let retired key what values =
+    match Json.member key j with
+    | None | Some Json.Null -> Ok ()
+    | Some (Json.Str s) when List.mem s values -> Ok ()
+    | Some (Json.Str s) -> Error (Printf.sprintf "unknown %s %s" what s)
+    | Some _ -> Error (key ^ " must be a string")
   in
+  let* () = retired "snapshot" "snapshot mode" [ "eager"; "cow" ] in
+  let* () = retired "rollback" "rollback engine" [ "checkpoint"; "cow" ] in
   let* prune =
     (* Absent on the wire means off: an older client never prunes. *)
     match Json.str_member "prune" j with
@@ -335,7 +337,6 @@ let submit_of_json j =
        { mode;
          program;
          flavor;
-         snapshot;
          prune;
          schedules;
          infer = Option.value ~default:false (Json.bool_member "infer" j);
@@ -345,7 +346,6 @@ let submit_of_json j =
          jobs;
          run_timeout_s;
          plan = Json.str_member "plan" j;
-         rollback = Json.str_member "rollback" j;
          perturb_rate;
          perturb_seed;
          perturb_max;

@@ -34,7 +34,6 @@ type job_request = {
   program : program_spec;
   flavor : Detect.flavor option;
       (** [None]: the app's suite default, or source weaving for inline *)
-  snapshot : Config.snapshot_mode;
   prune : Config.prune;
       (** campaign pruning mode; absent on the wire decodes as
           {!Config.Prune_off}, so older clients keep exact campaigns *)
@@ -52,7 +51,6 @@ type job_request = {
   plan : string option;
       (** produce mode: [failatom.plan/1] JSON text; required there,
           absent on the wire for every other mode *)
-  rollback : string option;  (** ["checkpoint"] / ["cow"]; [None] = checkpoint *)
   perturb_rate : int option;  (** canary rate per mille; [None]/[0] = off *)
   perturb_seed : int option;
   perturb_max : int option;  (** cap on total canary fires *)

@@ -348,7 +348,7 @@ let test_memo_rollback_invalidates () =
   let memo = Object_graph.Memo.create () in
   let roots = [ Value.Ref root ] in
   let before = Object_graph.Memo.canonical_many memo heap roots in
-  Checkpoint.with_checkpoint ~strategy:Checkpoint.Lazy heap roots (fun cp ->
+  Checkpoint.with_checkpoint heap roots (fun cp ->
       Heap.set_field heap root "n" (Value.Int 1);
       ignore (Object_graph.Memo.canonical_many memo heap roots);
       Checkpoint.rollback cp);
@@ -376,7 +376,7 @@ let memo_incremental_prop =
       let ok = ref true in
       for _round = 1 to 6 do
         (if Random.State.bool rs then
-           Checkpoint.with_checkpoint ~strategy:Checkpoint.Lazy heap roots
+           Checkpoint.with_checkpoint heap roots
              (fun cp ->
                Test_checkpoint.mutate_randomly heap rs ids steps;
                if Random.State.bool rs then Checkpoint.rollback cp)

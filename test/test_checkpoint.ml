@@ -1,6 +1,7 @@
-(* Tests for checkpoint/rollback, in both strategies (paper Listing 2
-   plus the §6.2 copy-on-write optimization), and for the mark-sweep
-   collector that reclaims objects discarded by a rollback. *)
+(* Tests for checkpoint/rollback — the copy-on-write product path
+   (paper §6.2) and, through the checkpoint seam, the paper's eager
+   Listing 2 oracle — and for the mark-sweep collector that reclaims
+   objects discarded by a rollback. *)
 
 open Failatom_runtime
 
@@ -17,10 +18,21 @@ let fixture () =
   in
   (heap, root, child)
 
+(* A strategy runs a test body under one checkpoint implementation:
+   the product's copy-on-write one ("lazy"), or the eager oracle
+   substituted in through [Checkpoint.substitute] ("eager"). *)
+type strategy = Eager | Lazy
+
+let under strategy f =
+  match strategy with
+  | Eager -> Failatom_oracle.Oracle.with_eager_checkpoints f
+  | Lazy -> f ()
+
 let rollback_restores strategy () =
+  under strategy @@ fun () ->
   let heap, root, child = fixture () in
   let before = canon heap (Value.Ref root) in
-  let cp = Checkpoint.take ~strategy heap [ Value.Ref root ] in
+  let cp = Checkpoint.take heap [ Value.Ref root ] in
   Heap.set_field heap root "n" (Value.Int 42);
   Heap.set_field heap child "v" (Value.Str "corrupted");
   check Alcotest.bool "mutated" false
@@ -31,10 +43,11 @@ let rollback_restores strategy () =
     (Object_graph.equal before (canon heap (Value.Ref root)))
 
 let rollback_alias_visible strategy () =
+  under strategy @@ fun () ->
   (* Rollback happens in place: an alias held by someone else observes
      the restored state (unlike a copy-and-swap implementation). *)
   let heap, root, child = fixture () in
-  let cp = Checkpoint.take ~strategy heap [ Value.Ref root ] in
+  let cp = Checkpoint.take heap [ Value.Ref root ] in
   Heap.set_field heap child "v" (Value.Int 9);
   Checkpoint.rollback cp;
   Checkpoint.dispose cp;
@@ -42,10 +55,11 @@ let rollback_alias_visible strategy () =
     (Heap.get_field heap child "v" = Some (Value.Int 1))
 
 let structural_rollback strategy () =
+  under strategy @@ fun () ->
   (* Rolling back must undo link changes, not just scalar fields. *)
   let heap, root, child = fixture () in
   let before = canon heap (Value.Ref root) in
-  let cp = Checkpoint.take ~strategy heap [ Value.Ref root ] in
+  let cp = Checkpoint.take heap [ Value.Ref root ] in
   let intruder = Heap.alloc_object heap ~cls:"L" [ ("v", Value.Int 5) ] in
   Heap.set_field heap root "c" (Value.Ref intruder);
   Heap.set_field heap child "v" (Value.Int 77);
@@ -55,12 +69,13 @@ let structural_rollback strategy () =
     (Object_graph.equal before (canon heap (Value.Ref root)))
 
 let nested_checkpoints strategy () =
+  under strategy @@ fun () ->
   let heap, root, _child = fixture () in
   let g0 = canon heap (Value.Ref root) in
-  let outer = Checkpoint.take ~strategy heap [ Value.Ref root ] in
+  let outer = Checkpoint.take heap [ Value.Ref root ] in
   Heap.set_field heap root "n" (Value.Int 1);
   let g1 = canon heap (Value.Ref root) in
-  let inner = Checkpoint.take ~strategy heap [ Value.Ref root ] in
+  let inner = Checkpoint.take heap [ Value.Ref root ] in
   Heap.set_field heap root "n" (Value.Int 2);
   Checkpoint.rollback inner;
   Checkpoint.dispose inner;
@@ -73,7 +88,7 @@ let nested_checkpoints strategy () =
 
 let test_lazy_copies_on_demand () =
   let heap, root, child = fixture () in
-  let cp = Checkpoint.take ~strategy:Checkpoint.Lazy heap [ Value.Ref root ] in
+  let cp = Checkpoint.take heap [ Value.Ref root ] in
   check Alcotest.int "nothing copied upfront" 0 (Checkpoint.size cp);
   Heap.set_field heap root "n" (Value.Int 5);
   check Alcotest.int "one payload after first write" 1 (Checkpoint.size cp);
@@ -88,14 +103,15 @@ let test_lazy_copies_on_demand () =
      && Heap.get_field heap child "v" = Some (Value.Int 1))
 
 let test_eager_copies_upfront () =
+  under Eager @@ fun () ->
   let heap, root, _ = fixture () in
-  let cp = Checkpoint.take ~strategy:Checkpoint.Eager heap [ Value.Ref root ] in
+  let cp = Checkpoint.take heap [ Value.Ref root ] in
   check Alcotest.int "whole graph copied" 2 (Checkpoint.size cp);
   Checkpoint.dispose cp
 
 let test_dispose_detaches_barrier () =
   let heap, root, _ = fixture () in
-  let cp = Checkpoint.take ~strategy:Checkpoint.Lazy heap [ Value.Ref root ] in
+  let cp = Checkpoint.take heap [ Value.Ref root ] in
   Checkpoint.dispose cp;
   check Alcotest.bool "barrier removed" true (heap.Heap.on_write = None);
   Heap.set_field heap root "n" (Value.Int 8);
@@ -103,7 +119,7 @@ let test_dispose_detaches_barrier () =
 
 let test_with_checkpoint_disposes () =
   let heap, root, _ = fixture () in
-  Checkpoint.with_checkpoint ~strategy:Checkpoint.Lazy heap [ Value.Ref root ]
+  Checkpoint.with_checkpoint heap [ Value.Ref root ]
     (fun _cp -> Heap.set_field heap root "n" (Value.Int 3));
   check Alcotest.bool "barrier gone after scope" true (heap.Heap.on_write = None)
 
@@ -189,7 +205,7 @@ let rollback_prop strategy =
   QCheck2.Test.make
     ~name:
       (Printf.sprintf "rollback restores random graphs (%s)"
-         (match strategy with Checkpoint.Eager -> "eager" | Checkpoint.Lazy -> "lazy"))
+         (match strategy with Eager -> "eager" | Lazy -> "lazy"))
     ~count:100
     QCheck2.Gen.(triple (int_range 1 10) (int_range 1 25) int)
     (fun (n, steps, seed) ->
@@ -198,10 +214,49 @@ let rollback_prop strategy =
       let ids = build_random_graph heap rs n in
       let root = Value.Ref ids.(0) in
       let before = canon heap root in
-      Checkpoint.with_checkpoint ~strategy heap [ root ] (fun cp ->
-          mutate_randomly heap rs ids steps;
-          Checkpoint.rollback cp);
+      under strategy (fun () ->
+          Checkpoint.with_checkpoint heap [ root ] (fun cp ->
+              mutate_randomly heap rs ids steps;
+              Checkpoint.rollback cp));
       Object_graph.equal before (canon heap root))
+
+(* Whole-heap identity with the oracle.  The test body holds every id,
+   so the root alone is an incomplete description of what the
+   mutations can reach: with [~complete:false] the copy-on-write
+   rollback must leave exactly the heap the eager copy leaves — every
+   payload, reachable from the root or not. *)
+let heap_image heap =
+  let ids = ref [] in
+  Heap.iter_ids heap (fun id -> ids := id :: !ids);
+  List.sort compare !ids
+  |> List.map (fun id -> (id, canon heap (Value.Ref id)))
+
+let cow_matches_oracle_prop =
+  QCheck2.Test.make ~name:"cow rollback leaves the oracle's heap" ~count:100
+    QCheck2.Gen.(triple (int_range 1 10) (int_range 1 25) int)
+    (fun (n, steps, seed) ->
+      let run take =
+        let heap = Heap.create () in
+        let rs = Random.State.make [| seed |] in
+        let ids = build_random_graph heap rs n in
+        let rollback = take heap [ Value.Ref ids.(0) ] in
+        mutate_randomly heap rs ids steps;
+        rollback ();
+        heap_image heap
+      in
+      let cow heap roots =
+        let cp = Checkpoint.take ~complete:false heap roots in
+        fun () ->
+          Checkpoint.rollback cp;
+          Checkpoint.dispose cp
+      in
+      let eager heap roots =
+        let cp = Failatom_oracle.Oracle.Eager_checkpoint.take heap roots in
+        fun () -> Failatom_oracle.Oracle.Eager_checkpoint.rollback cp
+      in
+      List.for_all2
+        (fun (i, a) (j, b) -> i = j && Object_graph.equal a b)
+        (run cow) (run eager))
 
 let nested_rollback_prop =
   QCheck2.Test.make ~name:"nested lazy checkpoints restore in LIFO order" ~count:60
@@ -212,10 +267,10 @@ let nested_rollback_prop =
       let ids = build_random_graph heap rs n in
       let root = Value.Ref ids.(0) in
       let g0 = canon heap root in
-      let outer = Checkpoint.take ~strategy:Checkpoint.Lazy heap [ root ] in
+      let outer = Checkpoint.take heap [ root ] in
       mutate_randomly heap rs ids steps;
       let g1 = canon heap root in
-      let inner = Checkpoint.take ~strategy:Checkpoint.Lazy heap [ root ] in
+      let inner = Checkpoint.take heap [ root ] in
       mutate_randomly heap rs ids steps;
       Checkpoint.rollback inner;
       Checkpoint.dispose inner;
@@ -249,8 +304,8 @@ let strategy_cases name strategy =
     Alcotest.test_case (name ^ ": nested checkpoints") `Quick (nested_checkpoints strategy) ]
 
 let suite =
-  strategy_cases "eager" Checkpoint.Eager
-  @ strategy_cases "lazy" Checkpoint.Lazy
+  strategy_cases "eager" Eager
+  @ strategy_cases "lazy" Lazy
   @ [ Alcotest.test_case "lazy copies on demand" `Quick test_lazy_copies_on_demand;
       Alcotest.test_case "eager copies upfront" `Quick test_eager_copies_upfront;
       Alcotest.test_case "dispose detaches barrier" `Quick test_dispose_detaches_barrier;
@@ -259,7 +314,8 @@ let suite =
       Alcotest.test_case "gc extra roots" `Quick test_gc_respects_extra_roots;
       Alcotest.test_case "gc cyclic garbage" `Quick test_gc_cyclic_garbage;
       Alcotest.test_case "rollback then gc" `Quick test_rollback_then_gc;
-      QCheck_alcotest.to_alcotest (rollback_prop Checkpoint.Eager);
-      QCheck_alcotest.to_alcotest (rollback_prop Checkpoint.Lazy);
+      QCheck_alcotest.to_alcotest (rollback_prop Eager);
+      QCheck_alcotest.to_alcotest (rollback_prop Lazy);
+      QCheck_alcotest.to_alcotest cow_matches_oracle_prop;
       QCheck_alcotest.to_alcotest nested_rollback_prop;
       QCheck_alcotest.to_alcotest gc_safety_prop ]

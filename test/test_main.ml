@@ -36,4 +36,5 @@ let () =
       ("campaign", Test_campaign.suite);
       ("obs", Test_obs.suite);
       ("server", Test_server.suite);
-      ("cluster", Test_cluster.suite) ]
+      ("cluster", Test_cluster.suite);
+      ("cli", Test_cli.suite) ]

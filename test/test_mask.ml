@@ -1,7 +1,8 @@
 (* Masking-phase tests: the headline theorem of the paper — after
    masking, re-detection finds no failure non-atomic method — plus
-   policies, do-not-wrap exclusions, checkpoint strategies, and
-   semantic transparency of the corrected program. *)
+   policies, do-not-wrap exclusions, the copy-on-write checkpoints
+   against the paper's eager Listing 2 oracle, and semantic
+   transparency of the corrected program. *)
 
 open Failatom_core
 open Failatom_apps
@@ -121,9 +122,18 @@ let test_rollback_semantics_end_to_end () =
   Alcotest.(check bool) "masked repairs (count 9)" true
     (contains ~needle:"count after leak: 9" (Failatom_minilang.Minilang.output vm))
 
+(* A strategy runs a test body under one checkpoint implementation:
+   the product's copy-on-write one, or the eager oracle substituted in
+   through [Checkpoint.substitute]. *)
+type strategy = Eager | Cow
+
+let under strategy f =
+  match strategy with
+  | Eager -> Failatom_oracle.Oracle.with_eager_checkpoints f
+  | Cow -> f ()
+
 let masking_strategy_works strategy () =
-  let config = { Config.default with Config.checkpoint_strategy = strategy } in
-  let _, residual = residual_non_atomic ~config Synthetic.source in
+  let _, residual = under strategy (fun () -> residual_non_atomic Synthetic.source) in
   Alcotest.(check (list string)) "no residual (strategy)" []
     (List.map Method_id.to_string residual)
 
@@ -178,9 +188,9 @@ let test_masking_closes_apps () =
 (* Regression: an OCaml-level abort (deadline, scheduler unwind)
    unwinding through a masked call never runs the filter's [post] — the
    wrapper's [unwind] hook must pop the entry, roll it back, and
-   dispose it.  Before the hook existed the entry leaked: under the
-   lazy strategy its shadow stayed attached to the write barrier
-   forever, and the aborted call's mutations survived. *)
+   dispose it.  Before the hook existed the entry leaked: a
+   copy-on-write checkpoint's shadow stayed attached to the write
+   barrier forever, and the aborted call's mutations survived. *)
 let unwind_leak_src =
   {|
 class Spin {
@@ -202,7 +212,8 @@ let check_unwind_releases_checkpoint strategy () =
   let module Vm = Failatom_runtime.Vm in
   let module Heap = Failatom_runtime.Heap in
   let module Value = Failatom_runtime.Value in
-  let config = { Config.default with Config.checkpoint_strategy = strategy } in
+  under strategy @@ fun () ->
+  let config = Config.default in
   let vm = Failatom_minilang.Compile.program (parse unwind_leak_src) in
   Mask.attach_masking config
     ~targets:(Method_id.Set.singleton (Method_id.make "Spin" "spin"))
@@ -230,13 +241,12 @@ let check_unwind_releases_checkpoint strategy () =
 (* Production wrappers on the concurrent apps: per-thread entry stacks
    and per-thread COW dirty sets must keep interleaved wrapped calls
    independent.  Under each preemptive schedule, a canaried production
-   run must be byte-identical between the two rollback engines, roll
-   back at least once, and validate every perturbation. *)
+   run must be byte-identical to the same run under the eager Listing 2
+   oracle, roll back at least once, and validate every perturbation. *)
 let check_concurrent_production name flavor engine () =
   let module Compile = Failatom_minilang.Compile in
   let module Sched = Failatom_runtime.Sched in
   let module Plan = Failatom_prod.Plan in
-  let module Armed = Failatom_prod.Armed in
   let module Perturb = Failatom_prod.Perturb in
   let module Scorecard = Failatom_prod.Scorecard in
   let module Produce = Failatom_prod.Produce in
@@ -263,13 +273,14 @@ let check_concurrent_production name flavor engine () =
   List.iter
     (fun spec ->
       let policy = Option.get (Sched.policy_of_string spec) in
-      let run rollback =
-        match Produce.run ~config ~rollback ~perturb ~policy ~times:2 ~plan program with
+      let run strategy =
+        under strategy @@ fun () ->
+        match Produce.run ~config ~perturb ~policy ~times:2 ~plan program with
         | Ok r -> r
         | Error msg -> Alcotest.failf "%s under %s: %s" name spec msg
       in
-      let cp = run Armed.Rb_checkpoint in
-      let cow = run Armed.Rb_cow in
+      let cp = run Eager in
+      let cow = run Cow in
       Alcotest.(check (list string))
         (Printf.sprintf "%s under %s: outputs bitwise identical" name spec)
         (List.map (fun (r : Produce.run_report) -> r.Produce.output) cp.Produce.runs)
@@ -303,15 +314,15 @@ let suite =
     Alcotest.test_case "rollback repairs corruption" `Quick
       test_rollback_semantics_end_to_end;
     Alcotest.test_case "eager strategy" `Quick
-      (masking_strategy_works Failatom_runtime.Checkpoint.Eager);
+      (masking_strategy_works Eager);
     Alcotest.test_case "lazy strategy" `Quick
-      (masking_strategy_works Failatom_runtime.Checkpoint.Lazy);
+      (masking_strategy_works Cow);
     Alcotest.test_case "binary masking" `Quick test_binary_masking;
     Alcotest.test_case "masking closes apps" `Quick test_masking_closes_apps;
     Alcotest.test_case "unwind releases checkpoint (eager)" `Quick
-      (check_unwind_releases_checkpoint Failatom_runtime.Checkpoint.Eager);
+      (check_unwind_releases_checkpoint Eager);
     Alcotest.test_case "unwind releases checkpoint (lazy)" `Quick
-      (check_unwind_releases_checkpoint Failatom_runtime.Checkpoint.Lazy);
+      (check_unwind_releases_checkpoint Cow);
     Alcotest.test_case "concurrent production: StripedMap (closures)" `Quick
       (check_concurrent_production "StripedMap" Detect.Load_time_filters
          Failatom_minilang.Compile.Closures);

@@ -88,12 +88,15 @@ let fixture : Obs.snap =
         ("detect.points_dropped", 0);
         ("detect.points_total", 923);
         ("heap.allocations", 189004);
+        ("mask.calls", 0);
+        ("mask.hits", 0);
         ("sched.lock_contention", 18);
         ("sched.preemptions", 3121);
         ("sched.schedules_explored", 4);
         ("sched.switches", 3344);
+        ("server.rejected", 0);
         ("vm.steps", 6066895) ];
-    s_gauges = [ ("campaign.workers", 4) ];
+    s_gauges = [ ("campaign.workers", 4); ("server.queue_depth", 0) ];
     s_histograms =
       [ ( "campaign.queue_depth",
           { Obs.hs_unit = "items";
@@ -112,7 +115,7 @@ let fixture : Obs.snap =
             hs_max = 83800000;
             hs_p50 = 786432;
             hs_p99 = 50331648;
-            hs_attrs = [ ("flavor", "source-weaving"); ("snapshot_mode", "eager") ] } );
+            hs_attrs = [ ("flavor", "source-weaving") ] } );
         ( "detect.schedule",
           { Obs.hs_unit = "ns";
             hs_count = 4;
@@ -121,7 +124,16 @@ let fixture : Obs.snap =
             hs_max = 1500000000;
             hs_p50 = 1342177280;
             hs_p99 = 1476395008;
-            hs_attrs = [ ("schedule", "slice:1") ] } ) ]
+            hs_attrs = [ ("schedule", "slice:1") ] } );
+        ( "mask.wrap_ns",
+          { Obs.hs_unit = "ns";
+            hs_count = 0;
+            hs_sum = 0;
+            hs_min = 0;
+            hs_max = 0;
+            hs_p50 = 0;
+            hs_p99 = 0;
+            hs_attrs = [] } ) ]
   }
 
 let test_json_golden () = golden_check "metrics.json" (Obs.to_json fixture)

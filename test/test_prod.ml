@@ -4,9 +4,10 @@
    the always-on masking runtime: these tests pin its round trip
    (emit → load → armed targets equal a fresh detection's Mask.targets),
    its refusal of stale digests and of documents missing required
-   fields, the bitwise equivalence of the two rollback engines, and the
-   seeded canary channel validating failure-obliviousness live over a
-   1000+-call run. *)
+   fields, the bitwise equivalence of the copy-on-write rollback with
+   the paper's eager Listing 2 oracle, the readability of a plan
+   emitted by an earlier producer, and the seeded canary channel
+   validating failure-obliviousness live over a 1000+-call run. *)
 
 open Failatom_core
 open Failatom_apps
@@ -14,7 +15,6 @@ module Minilang = Failatom_minilang.Minilang
 module Compile = Failatom_minilang.Compile
 module Sched = Failatom_runtime.Sched
 module Plan = Failatom_prod.Plan
-module Armed = Failatom_prod.Armed
 module Perturb = Failatom_prod.Perturb
 module Scorecard = Failatom_prod.Scorecard
 module Produce = Failatom_prod.Produce
@@ -37,10 +37,20 @@ let plan_of ?(config = Config.default) ~flavor program =
 let strings_of_set s = List.map Method_id.to_string (Method_id.Set.elements s)
 let method_set = Alcotest.(slist string String.compare)
 
+(* The rollback mechanism a production run uses: the product's
+   copy-on-write checkpoints, or the eager Listing 2 oracle substituted
+   in through [Checkpoint.substitute]. *)
+type rollback = Checkpoint_oracle | Cow
+
 let production ?config ?perturb ?policy ~plan ~times rollback program =
-  match Produce.run ?config ~rollback ?perturb ?policy ~times ~plan program with
-  | Ok r -> r
-  | Error msg -> Alcotest.failf "production run failed: %s" msg
+  let run () =
+    match Produce.run ?config ?perturb ?policy ~times ~plan program with
+    | Ok r -> r
+    | Error msg -> Alcotest.failf "production run failed: %s" msg
+  in
+  match rollback with
+  | Cow -> run ()
+  | Checkpoint_oracle -> Failatom_oracle.Oracle.with_eager_checkpoints run
 
 (* Stripped of timings, a scorecard row is deterministic. *)
 let core_rows (sc : Scorecard.t) =
@@ -141,8 +151,9 @@ let test_strict_decoding () =
 (* ------------------------------------------------------------------ *)
 
 (* COW rollback must be observationally indistinguishable from the
-   eager checkpoint: same outputs byte for byte, same per-method call,
-   hit, and canary-verdict counts — only the timings may differ. *)
+   eager checkpoint oracle: same outputs byte for byte, same per-method
+   call, hit, and canary-verdict counts — only the timings may
+   differ. *)
 let check_rollback_equivalence name flavor engine () =
   with_engine engine (fun () ->
       let program = parse (find_app name).Registry.source in
@@ -150,8 +161,8 @@ let check_rollback_equivalence name flavor engine () =
       let run rollback =
         production ~perturb:(hot_canary 7) ~plan ~times:3 rollback program
       in
-      let cp = run Armed.Rb_checkpoint in
-      let cow = run Armed.Rb_cow in
+      let cp = run Checkpoint_oracle in
+      let cow = run Cow in
       Alcotest.(check (list string)) "outputs bitwise identical"
         (List.map (fun (r : Produce.run_report) -> r.Produce.output) cp.Produce.runs)
         (List.map (fun (r : Produce.run_report) -> r.Produce.output) cow.Produce.runs);
@@ -163,6 +174,62 @@ let check_rollback_equivalence name flavor engine () =
       Alcotest.(check int) "no validation failures" 0
         (Scorecard.failed cow.Produce.scorecard))
 
+(* The resilience check the CLI runs: plan emitted at detect's CLI
+   defaults, a rate-1000 at-exit canary seeded 42, three runs.  The
+   scorecard — timings stripped — must be identical under the oracle
+   checkpoint and under copy-on-write, and for LinkedList equal to the
+   committed golden (whose "rollback" field reads "cow"). *)
+let scorecard_core (sc : Scorecard.t) =
+  match Json.of_string (Scorecard.to_json sc) with
+  | Json.Obj fields ->
+    Json.to_string (Json.Obj (List.filter (fun (k, _) -> k <> "timings") fields))
+  | _ -> Alcotest.fail "scorecard is not a JSON object"
+
+let check_resilience_against_oracle name () =
+  let program = parse (find_app name).Registry.source in
+  let config = { Config.default with Config.prune = Config.Prune_coalesce } in
+  let plan = plan_of ~config ~flavor:Detect.Source_weaving program in
+  let run rollback =
+    (production ~perturb:(hot_canary 42) ~plan ~times:3 rollback program).Produce.scorecard
+  in
+  let cow = run Cow and oracle = run Checkpoint_oracle in
+  Alcotest.(check string) "scorecard core: cow == oracle checkpoint"
+    (scorecard_core oracle) (scorecard_core cow);
+  Alcotest.(check int) "no validation failures" 0 (Scorecard.failed cow);
+  let golden = Filename.concat "golden" (Printf.sprintf "resilience_%s.json" name) in
+  if Sys.file_exists golden then
+    match Scorecard.load_file golden with
+    | Error msg -> Alcotest.failf "%s: %s" golden msg
+    | Ok want ->
+      Alcotest.(check string) "scorecard core matches the golden"
+        (scorecard_core want) (scorecard_core cow)
+
+(* A plan written by an earlier producer — before snapshots and
+   rollback became copy-on-write only — at detect's CLI defaults.  It
+   must still load, validate against the CLI-default configuration
+   (the fingerprint did not change), and arm without re-emission. *)
+let test_earlier_plan_arms () =
+  let program = parse (find_app "LinkedList").Registry.source in
+  match Plan.load_file (Filename.concat "golden" "plan_LinkedList.json") with
+  | Error msg -> Alcotest.failf "committed plan refused: %s" msg
+  | Ok plan ->
+    let cli_default = { Config.default with Config.prune = Config.Prune_coalesce } in
+    (match
+       Plan.validate ~config:cli_default plan
+         ~program_digest:(Minilang.program_digest program)
+     with
+     | Ok () -> ()
+     | Error msg -> Alcotest.failf "earlier plan is stale: %s" msg);
+    let fresh = plan_of ~config:cli_default ~flavor:Detect.Source_weaving program in
+    Alcotest.(check method_set) "same targets as a fresh plan"
+      (strings_of_set (Plan.target_set fresh))
+      (strings_of_set (Plan.target_set plan));
+    let { Produce.scorecard; _ } =
+      production ~perturb:(hot_canary 42) ~plan ~times:3 Cow program
+    in
+    Alcotest.(check bool) "armed wrappers rolled back" true (Scorecard.hits scorecard > 0);
+    Alcotest.(check int) "no validation failures" 0 (Scorecard.failed scorecard)
+
 (* ------------------------------------------------------------------ *)
 (* Canary channel                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -171,7 +238,7 @@ let test_canary_thousand_calls () =
   let program = parse (find_app "LinkedList").Registry.source in
   let plan = plan_of ~flavor:Detect.Load_time_filters program in
   let { Produce.scorecard; _ } =
-    production ~perturb:(hot_canary 42) ~plan ~times:80 Armed.Rb_cow program
+    production ~perturb:(hot_canary 42) ~plan ~times:80 Cow program
   in
   Alcotest.(check bool) "a 1000+-call production run" true
     (Scorecard.calls scorecard >= 1000);
@@ -190,7 +257,7 @@ let test_canary_determinism () =
   let program = parse (find_app "Dynarray").Registry.source in
   let plan = plan_of ~flavor:Detect.Load_time_filters program in
   let spec seed = { (hot_canary seed) with Produce.rate_per_mille = 300 } in
-  let run seed = production ~perturb:(spec seed) ~plan ~times:4 Armed.Rb_cow program in
+  let run seed = production ~perturb:(spec seed) ~plan ~times:4 Cow program in
   let a = run 5 and b = run 5 in
   Alcotest.(check (list string)) "same seed, same scorecard core"
     (core_rows a.Produce.scorecard) (core_rows b.Produce.scorecard);
@@ -204,8 +271,8 @@ let test_canary_at_entry () =
   let program = parse (find_app "LinkedList").Registry.source in
   let plan = plan_of ~flavor:Detect.Load_time_filters program in
   let perturb = { (hot_canary 3) with Produce.point = Perturb.At_entry } in
-  let plain = production ~plan ~times:2 Armed.Rb_cow program in
-  let canaried = production ~perturb ~plan ~times:2 Armed.Rb_cow program in
+  let plain = production ~plan ~times:2 Cow program in
+  let canaried = production ~perturb ~plan ~times:2 Cow program in
   Alcotest.(check (list string)) "entry perturbation is output-transparent"
     (List.map (fun (r : Produce.run_report) -> r.Produce.output) plain.Produce.runs)
     (List.map (fun (r : Produce.run_report) -> r.Produce.output) canaried.Produce.runs);
@@ -219,7 +286,7 @@ let test_perturb_max_caps_fires () =
   let plan = plan_of ~flavor:Detect.Load_time_filters program in
   let perturb = { (hot_canary 9) with Produce.max_fires = Some 2 } in
   let { Produce.scorecard; _ } =
-    production ~perturb ~plan ~times:5 Armed.Rb_cow program
+    production ~perturb ~plan ~times:5 Cow program
   in
   Alcotest.(check int) "fires capped" 2 (Scorecard.fired scorecard)
 
@@ -231,7 +298,7 @@ let test_scorecard_round_trip () =
   let program = parse (find_app "LinkedList").Registry.source in
   let plan = plan_of ~flavor:Detect.Load_time_filters program in
   let { Produce.scorecard; _ } =
-    production ~perturb:(hot_canary 1) ~plan ~times:2 Armed.Rb_checkpoint program
+    production ~perturb:(hot_canary 1) ~plan ~times:2 Checkpoint_oracle program
   in
   let json = Scorecard.to_json scorecard in
   match Scorecard.of_string json with
@@ -263,6 +330,11 @@ let suite =
     eq "LinkedList" Detect.Source_weaving Compile.Closures "source" "closures";
     eq "Dynarray" Detect.Load_time_filters Compile.Bytecode "binary" "bytecode";
     eq "RBTree" Detect.Load_time_filters Compile.Closures "binary" "closures";
+    Alcotest.test_case "resilience = oracle: LinkedList" `Quick
+      (check_resilience_against_oracle "LinkedList");
+    Alcotest.test_case "resilience = oracle: Dynarray" `Quick
+      (check_resilience_against_oracle "Dynarray");
+    Alcotest.test_case "earlier plan still arms" `Quick test_earlier_plan_arms;
     Alcotest.test_case "seeded 1k-call canary, zero failures" `Quick
       test_canary_thousand_calls;
     Alcotest.test_case "canary determinism in the seed" `Quick

@@ -167,18 +167,17 @@ let prop_transparent =
       let program = Failatom_minilang.Minilang.parse (render_spec spec) in
       (Detect.run program).Detect.transparent)
 
-(* Copy-on-write and eager snapshots are the same detector: every run
-   record — injection point, marks, escape, output — must be bitwise
-   identical, not merely equivalent verdicts. *)
+(* Copy-on-write snapshots and the paper's eager Listing 1 oracle are
+   the same detector: every run record — injection point, marks,
+   escape, output — must be bitwise identical, not merely equivalent
+   verdicts. *)
 let prop_snapshot_equivalence =
   QCheck2.Test.make ~name:"cow and eager snapshots mark identically" ~count:25
     ~long_factor ~print:print_spec gen_program_spec
     (fun spec ->
       let program = Failatom_minilang.Minilang.parse (render_spec spec) in
-      let via mode =
-        Detect.run ~config:{ Config.default with Config.snapshot_mode = mode } program
-      in
-      let eager = via Config.Snapshot_eager and cow = via Config.Snapshot_cow in
+      let eager = Failatom_oracle.Oracle.with_eager (fun () -> Detect.run program) in
+      let cow = Detect.run program in
       if eager.Detect.runs = cow.Detect.runs then true
       else QCheck2.Test.fail_reportf "cow marks differ from eager")
 

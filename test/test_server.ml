@@ -285,6 +285,69 @@ let test_malformed_requests () =
             Alcotest.fail "unparsable program was accepted"
           with Client.Error _ -> ()))
 
+(* Snapshot mode and rollback engine are retired request fields:
+   capture is always copy-on-write.  Every value an older client could
+   send still decodes — to exactly the request without the field, for
+   every mode — and a daemon answers such a submission with the same
+   result bytes; an unknown value is still a protocol error. *)
+let retired_fields =
+  [ [ ("snapshot", Json.Str "eager") ];
+    [ ("snapshot", Json.Str "cow") ];
+    [ ("rollback", Json.Str "checkpoint") ];
+    [ ("rollback", Json.Str "cow") ];
+    [ ("snapshot", Json.Str "eager"); ("rollback", Json.Str "checkpoint") ] ]
+
+let with_extra_fields req extra =
+  match Protocol.request_to_json (Protocol.Submit req) with
+  | Json.Obj fields -> Json.Obj (fields @ extra)
+  | _ -> Alcotest.fail "a submit request is not a JSON object"
+
+let test_retired_wire_fields () =
+  List.iter
+    (fun mode ->
+      let req = Protocol.default_request mode (Protocol.App "CircularList") in
+      let plain = Protocol.request_of_json (with_extra_fields req []) in
+      List.iter
+        (fun extra ->
+          let legacy = Protocol.request_of_json (with_extra_fields req extra) in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s decodes like its absence" (Protocol.mode_name mode)
+               (Json.to_string (Json.Obj extra)))
+            true
+            (Result.is_ok plain && legacy = plain))
+        retired_fields;
+      List.iter
+        (fun extra ->
+          Alcotest.(check bool)
+            (Json.to_string (Json.Obj extra) ^ " rejected")
+            true
+            (Result.is_error (Protocol.request_of_json (with_extra_fields req extra))))
+        [ [ ("snapshot", Json.Str "lazy") ]; [ ("rollback", Json.Str "undo") ] ])
+    [ Protocol.Detect; Protocol.Campaign; Protocol.Mask; Protocol.Produce ];
+  with_server (fun socket_path ->
+      let req = Protocol.default_request Protocol.Detect (Protocol.App "CircularList") in
+      let render r = Json.to_string (Protocol.result_to_json r) in
+      let plain, _ = with_client socket_path (fun conn -> completed (Client.submit_wait conn req)) in
+      List.iter
+        (fun extra ->
+          let _, reply =
+            raw_request socket_path (Json.to_string (with_extra_fields req extra))
+          in
+          let job =
+            match Json.str_member "job" (Json.of_string reply) with
+            | Some job -> job
+            | None -> Alcotest.failf "legacy submission rejected: %s" reply
+          in
+          let legacy, _ = with_client socket_path (fun conn -> completed (Client.watch conn job)) in
+          Alcotest.(check string)
+            (Json.to_string (Json.Obj extra) ^ ": byte-identical result")
+            (render plain) (render legacy))
+        retired_fields;
+      check_error_reply "unknown snapshot mode"
+        (snd
+           (raw_request socket_path
+              (Json.to_string (with_extra_fields req [ ("snapshot", Json.Str "lazy") ])))))
+
 (* A rejected submission must not poison the connection. *)
 let test_connection_survives_errors () =
   with_server (fun socket_path ->
@@ -497,6 +560,7 @@ let suite =
     Alcotest.test_case "concurrent clients" `Slow test_concurrent_clients;
     Alcotest.test_case "malformed requests are rejected" `Quick
       test_malformed_requests;
+    Alcotest.test_case "retired wire fields accepted" `Quick test_retired_wire_fields;
     Alcotest.test_case "connection survives a rejected submit" `Quick
       test_connection_survives_errors;
     Alcotest.test_case "job timeout" `Quick test_job_timeout;

@@ -1,6 +1,7 @@
 (* Tests of the differential (copy-on-write) snapshot engine: the
    Shadow dirty-set layer, the reachability fast path, and end-to-end
-   equivalence of --snapshot-mode cow with the eager oracle. *)
+   equivalence of copy-on-write detection with the paper's eager
+   Listing 1 oracle (test/oracle). *)
 
 open Failatom_runtime
 open Failatom_core
@@ -145,8 +146,8 @@ let test_rollback_restores_before_equality () =
   let roots = [ Value.Ref root ] in
   let entry = Object_graph.canonical_many heap roots in
   Shadow.with_shadow heap (fun sh ->
-      (* a nested masked call: lazy checkpoint, mutation, rollback *)
-      Checkpoint.with_checkpoint ~strategy:Checkpoint.Lazy heap roots (fun cp ->
+      (* a nested masked call: checkpoint, mutation, rollback *)
+      Checkpoint.with_checkpoint heap roots (fun cp ->
           Heap.set_field heap child "v" (Value.Int 42);
           Checkpoint.rollback cp);
       (* the rollback touched the object, so it is dirty — but its saved
@@ -166,11 +167,12 @@ let test_rollback_restores_before_equality () =
 (* As in test_campaign: equivalence is independent of the configuration,
    so the full app x flavor matrix runs with a slimmed-down injection
    set to keep the suite fast. *)
-let matrix_config mode =
+let matrix_config =
   { Config.default with
     Config.runtime_exceptions = [ "NullPointerException" ];
-    infer_exception_free = true;
-    snapshot_mode = mode }
+    infer_exception_free = true }
+
+let eager = Failatom_oracle.Oracle.with_eager
 
 let check_same_detection name eager cow =
   Alcotest.(check int)
@@ -194,8 +196,8 @@ let check_same_detection name eager cow =
 
 let check_cow_matches_eager (app : Registry.t) flavor () =
   let program = parse app.Registry.source in
-  let eager = Detect.run ~config:(matrix_config Config.Snapshot_eager) ~flavor program in
-  let cow = Detect.run ~config:(matrix_config Config.Snapshot_cow) ~flavor program in
+  let eager = eager (fun () -> Detect.run ~config:matrix_config ~flavor program) in
+  let cow = Detect.run ~config:matrix_config ~flavor program in
   check_same_detection app.Registry.name eager cow
 
 let equivalence_cases =
@@ -212,21 +214,21 @@ let equivalence_cases =
     Registry.catalog
 
 (* Re-validating an already-masked program layers cow detection
-   snapshots over the wrappers' lazy checkpoints: shadows and
-   checkpoint shadows nest on the same heap. *)
+   snapshots over the wrappers' checkpoints: shadows and checkpoint
+   shadows nest on the same heap.  The oracle side is eager for both. *)
 let test_cow_on_masked_program () =
   let app = Option.get (Registry.find "LinkedList") in
   let program = parse app.Registry.source in
-  let run mode =
-    let config = matrix_config mode in
+  let run () =
+    let config = matrix_config in
     let outcome = Mask.correct ~config ~flavor:Detect.Source_weaving program in
     ( Detect.run ~config ~flavor:Detect.Source_weaving
         ~prepare:(Mask.register_hooks config)
         outcome.Mask.corrected,
       outcome )
   in
-  let eager, oe = run Config.Snapshot_eager in
-  let cow, oc = run Config.Snapshot_cow in
+  let eager, oe = eager run in
+  let cow, oc = run () in
   Alcotest.(check bool)
     "same wrapped set" true
     (Method_id.Set.equal oe.Mask.wrapped oc.Mask.wrapped);
