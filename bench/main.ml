@@ -22,13 +22,7 @@
    section compares the paper's eager detection snapshots (the
    test/oracle library) with the copy-on-write product path per
    application and writes the machine-readable
-   BENCH_detect.json; set BENCH_SHORT=1 for the quick CI subset.  The
-   interp section races the two execution engines — the original
-   closure-tree evaluator against the flat-bytecode interpreter with
-   superinstructions — in interleaved best-of-N rounds with stddev,
-   gates the bytecode geomean at >= 2.0x the committed baseline file
-   with no per-app regression vs closures, and writes BENCH_interp.json
-   plus a folded-stack opcode/span profile (BENCH_interp.folded).
+   BENCH_detect.json; set BENCH_SHORT=1 for the quick CI subset.
 
    Beyond the paper still, the obs-overhead section proves the
    observability layer (lib/obs/) keeps detection marks bitwise
@@ -46,7 +40,7 @@
 
    Usage: main.exe [section...] where section is one of
    table1 fig2 fig3 fig4 fig5 case-study campaign snapshot ablation
-   prune mask interp obs-overhead server cluster (default: all). *)
+   prune mask obs-overhead server cluster (default: all). *)
 
 open Bechamel
 open Failatom_runtime
@@ -59,7 +53,8 @@ open Failatom_apps
 
 let sweep =
   lazy
-    (let t0 = Unix.gettimeofday () in
+    (Fmt.pr "running detection sweep over %d applications...@." (List.length Registry.all);
+     let t0 = Unix.gettimeofday () in
      let outcomes =
        List.map
          (fun app ->
@@ -338,240 +333,15 @@ let section_snapshot () =
   Fmt.pr "  machine-readable results written to %s@." bench_json_file
 
 (* ------------------------------------------------------------------ *)
-(* Interpreter throughput: staged images vs rebuild-per-run            *)
-(* ------------------------------------------------------------------ *)
-
-let interp_json_file = "BENCH_interp.json"
-
-let interp_apps () =
-  if bench_short then
-    List.filter_map Registry.find [ "stdQ"; "LinkedList"; "RBTree" ]
-  else Registry.all
-
-type interp_row = {
-  ir_app : Registry.t;
-  ir_image_ms : float; (* one-time bytecode image build (best of 3) *)
-  ir_cl_rps : float; (* closures engine, best round *)
-  ir_bc_rps : float; (* bytecode engine, best round *)
-  ir_bc_stddev_pct : float; (* relative stddev of the bytecode rounds *)
-  ir_baseline_rps : float option; (* committed baseline, if present *)
-}
-
-(* Reference throughput of the pre-bytecode interpreter (app name,
-   runs/sec per line; see the file header for how it was measured).
-   Optional: absent on a checkout without the reference, and reference
-   numbers from a different machine are only indicative. *)
-let interp_baseline =
-  lazy
-    (let path = "bench/baseline_interp_runs_per_sec.txt" in
-     match open_in path with
-     | exception Sys_error _ -> None
-     | ic ->
-       let table = Hashtbl.create 16 in
-       (try
-          while true do
-            let line = input_line ic in
-            if String.length line > 0 && line.[0] <> '#' then
-              try Scanf.sscanf line "%s %f" (fun app rps -> Hashtbl.replace table app rps)
-              with Scanf.Scan_failure _ | Failure _ -> ()
-          done
-        with End_of_file -> ());
-       close_in ic;
-       Some table)
-
-let interp_folded_file = "BENCH_interp.folded"
-
-(* Per-app regression tolerance for the bytecode-vs-closures check.  On
-   this container the same binary's runs/sec swings by ±8% between
-   probes even with interleaving, so a strict >= 1.0 per-app gate would
-   flake on noise; 0.90 catches a real regression (the engines differ by
-   far more than 10% when one of them loses a superinstruction) while
-   staying quiet across reruns. *)
-let interp_regression_floor = 0.90
-
-let section_interp () =
-  Fmt.pr "@.== Interpreter: closure-tree vs flat-bytecode engine throughput =======@.";
-  Fmt.pr "  (runs/sec of the plain workload, both engines from shared images;@.";
-  Fmt.pr "   rounds interleave the engines so clock drift and cache state bias@.";
-  Fmt.pr "   neither side; best round is reported, stddev is across rounds)@.";
-  let apps = interp_apps () in
-  let rounds = if bench_short then 3 else 5 in
-  let budget = if bench_short then 0.05 else 0.15 in
-  let now () = Unix.gettimeofday () in
-  let module C = Failatom_minilang.Compile in
-  (* One probe: runs/sec over a ~[budget]-second window, one shared
-     image, fresh VM per run (the structure every detection run has). *)
-  let probe image =
-    ignore (C.run_main (C.instantiate image));
-    (* warmup *)
-    let t0 = now () in
-    let n = ref 0 in
-    while now () -. t0 < budget do
-      ignore (C.run_main (C.instantiate image));
-      incr n
-    done;
-    float_of_int !n /. (now () -. t0)
-  in
-  let baseline = Lazy.force interp_baseline in
-  Fmt.pr "%-14s %10s %12s %12s %8s %8s %9s@." "Application" "image(ms)"
-    "closures(r/s)" "bytecode(r/s)" "ratio" "stddev" "vs-base";
-  let rows =
-    List.map
-      (fun (app : Registry.t) ->
-        let program = Failatom_minilang.Minilang.parse app.Registry.source in
-        let cl_image = C.image ~engine:C.Closures program in
-        let bc_image = ref (C.image ~engine:C.Bytecode program) in
-        let image_s = ref infinity in
-        for _ = 1 to 3 do
-          let t0 = now () in
-          bc_image := C.image ~engine:C.Bytecode program;
-          let dt = now () -. t0 in
-          if dt < !image_s then image_s := dt
-        done;
-        let bc_image = !bc_image in
-        let cl = Array.make rounds 0.0 and bc = Array.make rounds 0.0 in
-        for r = 0 to rounds - 1 do
-          cl.(r) <- probe cl_image;
-          bc.(r) <- probe bc_image
-        done;
-        let best a = Array.fold_left Float.max 0.0 a in
-        let mean a = Array.fold_left ( +. ) 0.0 a /. float_of_int rounds in
-        let stddev_pct a =
-          let m = mean a in
-          let var =
-            Array.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 a
-            /. float_of_int rounds
-          in
-          sqrt var /. m *. 100.0
-        in
-        let cl_rps = best cl and bc_rps = best bc in
-        let baseline_rps =
-          Option.bind baseline (fun tbl -> Hashtbl.find_opt tbl app.Registry.name)
-        in
-        let row =
-          { ir_app = app;
-            ir_image_ms = !image_s *. 1e3;
-            ir_cl_rps = cl_rps;
-            ir_bc_rps = bc_rps;
-            ir_bc_stddev_pct = stddev_pct bc;
-            ir_baseline_rps = baseline_rps }
-        in
-        Fmt.pr "%-14s %10.3f %12.1f %12.1f %7.2fx %7.1f%%" app.Registry.name
-          row.ir_image_ms cl_rps bc_rps (bc_rps /. cl_rps) row.ir_bc_stddev_pct;
-        (match baseline_rps with
-         | Some p -> Fmt.pr " %8.2fx@." (bc_rps /. p)
-         | None -> Fmt.pr " %9s@." "-");
-        row)
-      apps
-  in
-  let geomean_of f =
-    match List.filter_map f rows with
-    | [] -> None
-    | sps ->
-      Some
-        (exp
-           (List.fold_left (fun acc sp -> acc +. log sp) 0.0 sps
-           /. float_of_int (List.length sps)))
-  in
-  let geomean_engines =
-    Option.get (geomean_of (fun r -> Some (r.ir_bc_rps /. r.ir_cl_rps)))
-  in
-  let geomean_baseline =
-    geomean_of (fun r -> Option.map (fun p -> r.ir_bc_rps /. p) r.ir_baseline_rps)
-  in
-  Fmt.pr "%-14s %10s %12s %12s %7.2fx %8s" "geomean" "" "" "" geomean_engines "";
-  (match geomean_baseline with
-   | Some g -> Fmt.pr " %8.2fx@." g
-   | None -> Fmt.pr " %9s@." "-");
-  let regressions =
-    List.filter
-      (fun r -> r.ir_bc_rps < interp_regression_floor *. r.ir_cl_rps)
-      rows
-  in
-  let pass_no_regression = regressions = [] in
-  List.iter
-    (fun r ->
-      Fmt.epr "  WARNING: %s: bytecode %.1f r/s < %.0f%% of closures %.1f r/s@."
-        r.ir_app.Registry.name r.ir_bc_rps
-        (interp_regression_floor *. 100.0)
-        r.ir_cl_rps)
-    regressions;
-  let pass_speedup =
-    match geomean_baseline with None -> true | Some g -> g >= 2.0
-  in
-  let pass = pass_no_regression && pass_speedup in
-  Fmt.pr "  bytecode >= %.0f%% of closures on every app: %b; geomean vs baseline \
-          >= 2.0x: %s@."
-    (interp_regression_floor *. 100.0)
-    pass_no_regression
-    (match geomean_baseline with
-     | Some g -> Printf.sprintf "%b (%.2fx)" (g >= 2.0) g
-     | None -> "skipped (no baseline file)");
-  (* Folded-stack profile of one run per app under the bytecode engine:
-     per-opcode dispatch counts plus the obs span timings, written next
-     to the JSON for flamegraph.pl / speedscope. *)
-  let module Exec = Failatom_runtime.Exec in
-  let module Obs = Failatom_obs.Obs in
-  Exec.reset_profile ();
-  Exec.profiling := true;
-  Obs.with_enabled true (fun () ->
-      List.iter
-        (fun (app : Registry.t) ->
-          let program = Failatom_minilang.Minilang.parse app.Registry.source in
-          let image =
-            Obs.span "compile.image" (fun () -> C.image ~engine:C.Bytecode program)
-          in
-          Obs.span "vm.run" (fun () -> ignore (C.run_main (C.instantiate image))))
-        apps);
-  Exec.profiling := false;
-  let oc = open_out interp_folded_file in
-  output_string oc (Exec.folded_profile (Obs.snapshot ()));
-  close_out oc;
-  let oc = open_out interp_json_file in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n";
-  out "  \"bench\": \"interp_engines\",\n";
-  out "  \"short\": %b,\n" bench_short;
-  out "  \"rounds\": %d,\n" rounds;
-  out "  \"budget_s\": %.3f,\n" budget;
-  out "  \"apps\": [\n";
-  List.iteri
-    (fun i r ->
-      out
-        "    {\"name\": \"%s\", \"image_ms\": %.3f, \"closures_runs_per_sec\": \
-         %.1f, \"bytecode_runs_per_sec\": %.1f, \"engine_ratio\": %.3f, \
-         \"bytecode_stddev_pct\": %.2f"
-        (json_escape r.ir_app.Registry.name)
-        r.ir_image_ms r.ir_cl_rps r.ir_bc_rps
-        (r.ir_bc_rps /. r.ir_cl_rps)
-        r.ir_bc_stddev_pct;
-      (match r.ir_baseline_rps with
-       | Some p ->
-         out ", \"baseline_runs_per_sec\": %.1f, \"vs_baseline_speedup\": %.3f" p
-           (r.ir_bc_rps /. p)
-       | None -> ());
-      out "}%s\n" (if i = List.length rows - 1 then "" else ","))
-    rows;
-  out "  ],\n";
-  out "  \"geomean_engine_ratio\": %.3f,\n" geomean_engines;
-  (match geomean_baseline with
-   | Some g -> out "  \"geomean_vs_baseline_speedup\": %.3f,\n" g
-   | None -> ());
-  out "  \"regression_floor\": %.2f,\n" interp_regression_floor;
-  out "  \"pass_no_regression\": %b,\n" pass_no_regression;
-  out "  \"pass_speedup\": %b,\n" pass_speedup;
-  out "  \"pass\": %b,\n" pass;
-  out "  \"folded_profile\": \"%s\"\n" (json_escape interp_folded_file);
-  out "}\n";
-  close_out oc;
-  Fmt.pr "  machine-readable results written to %s (profile: %s)@."
-    interp_json_file interp_folded_file
-
-(* ------------------------------------------------------------------ *)
 (* Observability overhead: metrics on vs off                           *)
 (* ------------------------------------------------------------------ *)
 
 let obs_json_file = "BENCH_obs.json"
+
+let obs_apps () =
+  if bench_short then
+    List.filter_map Registry.find [ "stdQ"; "LinkedList"; "RBTree" ]
+  else Registry.all
 
 type obs_row = {
   or_app : Registry.t;
@@ -593,7 +363,7 @@ let section_obs_overhead () =
   Fmt.pr "   detection marks must be identical with metrics on and off)@.";
   let module Obs = Failatom_obs.Obs in
   let module C = Failatom_minilang.Compile in
-  let apps = interp_apps () in
+  let apps = obs_apps () in
   let batches = if bench_short then 30 else 60 in
   let now () = Unix.gettimeofday () in
   let batch_time image n =
@@ -1653,7 +1423,7 @@ type mask_row = {
   mr_cp_rb_ns : float; (* per rollback, checkpoint *)
   mr_cow_rb_ns : float;
   mr_speedup : float; (* cp rollback / cow rollback *)
-  mr_identical : bool; (* outputs byte-equal across engines *)
+  mr_identical : bool; (* outputs byte-equal, oracle vs cow rollback *)
 }
 
 let median = function
@@ -1684,14 +1454,18 @@ let section_mask () =
       point = Perturb.At_exit;
       fallback_exceptions = [] }
   in
+  (* Reuse the sweep's outcome when another section already ran it;
+     otherwise detect just this app, so a BENCH_SHORT subset never pays
+     for the full sweep. *)
   let outcome_of (app : Registry.t) =
-    match
-      List.find_opt
-        (fun (o : Harness.outcome) -> o.Harness.app.Registry.name = app.Registry.name)
-        (Lazy.force sweep)
-    with
-    | Some o -> o
-    | None -> Harness.detect_app app
+    let swept =
+      if Lazy.is_val sweep then
+        List.find_opt
+          (fun (o : Harness.outcome) -> o.Harness.app.Registry.name = app.Registry.name)
+          (Lazy.force sweep)
+      else None
+    in
+    match swept with Some o -> o | None -> Harness.detect_app app
   in
   Fmt.pr "%-14s %8s %7s %6s %11s %11s %11s %11s %8s@." "Application" "targets"
     "calls" "hits" "cp-wrap" "cow-wrap" "cp-rb" "cow-rb" "speedup";
@@ -1836,7 +1610,6 @@ let sections =
     ("case-study", section_case_study);
     ("campaign", section_campaign);
     ("snapshot", section_snapshot);
-    ("interp", section_interp);
     ("obs-overhead", section_obs_overhead);
     ("fig5", section_fig5);
     ("ablation", section_ablation);
@@ -1859,7 +1632,6 @@ let () =
     | args -> args
   in
   Fmt.pr "failatom benchmark harness — reproducing the DSN'03 evaluation@.";
-  Fmt.pr "running detection sweep over %d applications...@." (List.length Registry.all);
   List.iter
     (fun name ->
       match List.assoc_opt name sections with

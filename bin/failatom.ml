@@ -99,27 +99,6 @@ let details_arg =
   let doc = "Print the per-method verdicts, call counts and diff paths." in
   Arg.(value & flag & info [ "details" ] ~doc)
 
-let engine_arg =
-  let doc =
-    "Execution engine for interpreted programs: $(b,bytecode) (flat bytecode \
-     with superinstructions and monomorphic inline caches — the default) or \
-     $(b,closures) (the original closure-tree evaluator, kept for \
-     differential testing).  The engines are observably identical: same \
-     output, step counts, marks and run logs."
-  in
-  let engine_conv =
-    Arg.enum [ ("closures", ML.Compile.Closures); ("bytecode", ML.Compile.Bytecode) ]
-  in
-  Arg.(
-    value
-    & opt engine_conv !ML.Compile.default_engine
-    & info [ "engine" ] ~docv:"ENGINE" ~doc)
-
-(* The engine choice is a process-wide default ([Compile.image] honors
-   it at every compilation, including re-weaves inside detection), set
-   once before the action body runs. *)
-let set_engine e = ML.Compile.default_engine := e
-
 let method_list_conv =
   let parse s =
     match String.index_opt s '.' with
@@ -374,9 +353,8 @@ let run_cmd =
          | None -> ());
         if Prod.Scorecard.failed scorecard > 0 then exit_non_atomic else exit_ok)
   in
-  let action spec engine times mode plan perturb_rate perturb_seed
-      perturb_max perturb_point resilience_out metrics_out =
-    set_engine engine;
+  let action spec times mode plan perturb_rate perturb_seed perturb_max
+      perturb_point resilience_out metrics_out =
     with_program spec (fun program ->
         if times < 1 then begin
           Fmt.epr "failatom: --times must be at least 1@.";
@@ -413,7 +391,7 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc ~exits)
     Term.(
-      const action $ program_arg $ engine_arg $ times_arg $ mode_arg $ plan_arg
+      const action $ program_arg $ times_arg $ mode_arg $ plan_arg
       $ perturb_rate_arg $ perturb_seed_arg $ perturb_max_arg
       $ perturb_point_arg $ resilience_out_arg $ metrics_out_arg)
 
@@ -459,9 +437,8 @@ let emit_plan_arg =
   Arg.(value & opt (some string) None & info [ "emit-plan" ] ~docv:"FILE" ~doc)
 
 let detect_cmd =
-  let action spec engine flavor prune schedules details exception_free infer log
+  let action spec flavor prune schedules details exception_free infer log
       coverage csv metrics_out emit_plan =
-    set_engine engine;
     match expand_schedules schedules with
     | Error msg ->
       Fmt.epr "failatom: %s@." msg;
@@ -515,7 +492,7 @@ let detect_cmd =
   Cmd.v
     (Cmd.info "detect" ~doc ~exits)
     Term.(
-      const action $ program_arg $ engine_arg $ flavor_arg $ prune_arg
+      const action $ program_arg $ flavor_arg $ prune_arg
       $ schedules_arg $ details_arg $ exception_free_arg $ infer_arg $ log_arg
       $ coverage_arg $ csv_arg $ metrics_out_arg $ emit_plan_arg)
 
@@ -538,9 +515,8 @@ let campaign_cmd =
     in
     Arg.(value & flag & info [ "resume" ] ~doc)
   in
-  let action spec engine flavor prune schedules jobs journal resume
-      run_timeout_s details exception_free log csv metrics_out =
-    set_engine engine;
+  let action spec flavor prune schedules jobs journal resume run_timeout_s
+      details exception_free log csv metrics_out =
     match expand_schedules schedules with
     | Error msg ->
       Fmt.epr "failatom: %s@." msg;
@@ -594,7 +570,7 @@ let campaign_cmd =
   Cmd.v
     (Cmd.info "campaign" ~doc ~exits)
     Term.(
-      const action $ program_arg $ engine_arg $ flavor_arg $ prune_arg
+      const action $ program_arg $ flavor_arg $ prune_arg
       $ schedules_arg $ jobs_arg $ journal_arg $ resume_arg
       $ run_timeout_arg $ details_arg $ exception_free_arg $ log_arg $ csv_arg
       $ metrics_out_arg)
@@ -610,9 +586,8 @@ let weave_cmd =
   Cmd.v (Cmd.info "weave" ~doc ~exits) Term.(const action $ program_arg)
 
 let mask_cmd =
-  let action spec engine flavor exception_free do_not_wrap wrap_all show_source
+  let action spec flavor exception_free do_not_wrap wrap_all show_source
       verify =
-    set_engine engine;
     with_program spec (fun program ->
         let config = config_of ~exception_free ~do_not_wrap ~wrap_all in
         match Mask.correct ~config ~flavor program with
@@ -669,7 +644,7 @@ let mask_cmd =
   in
   Cmd.v (Cmd.info "mask" ~doc ~exits)
     Term.(
-      const action $ program_arg $ engine_arg $ flavor_arg
+      const action $ program_arg $ flavor_arg
       $ exception_free_arg $ do_not_wrap_arg $ wrap_all_arg $ show_source_arg
       $ verify_arg)
 
@@ -701,6 +676,23 @@ let classify_cmd =
   Cmd.v (Cmd.info "classify" ~doc ~exits)
     Term.(const action $ log_file_arg $ details_arg $ exception_free_arg)
 
+(* Folded-stack rendering (flamegraph.pl / speedscope "folded" input):
+   one [calls;Class.method N] line per method with its dynamic call
+   count, then one line per observability span that ran, carrying its
+   total nanoseconds with the span name's dots as stack separators. *)
+let folded_profile calls (snap : Failatom_obs.Obs.snap) =
+  let buf = Buffer.create 1024 in
+  List.iter
+    (fun (id, n) -> Printf.bprintf buf "calls;%s %d\n" (Method_id.to_string id) n)
+    calls;
+  List.iter
+    (fun (name, (h : Failatom_obs.Obs.hist_snap)) ->
+      if h.hs_count > 0 && h.hs_unit = "ns" then
+        Printf.bprintf buf "%s %d\n" (String.map (function '.' -> ';' | c -> c) name)
+          h.hs_sum)
+    snap.Failatom_obs.Obs.s_histograms;
+  Buffer.contents buf
+
 let profile_cmd =
   let times_arg =
     let doc = "Run the program $(docv) times to accumulate counts." in
@@ -710,16 +702,13 @@ let profile_cmd =
     let doc =
       "Write the profile to $(docv) in folded-stack format (one \
        $(i,frame;frame value) line per stack — flamegraph.pl / speedscope \
-       input).  Opcode lines carry dispatch counts under an $(b,interp) \
+       input).  Method lines carry dynamic call counts under a $(b,calls) \
        root; span lines carry total nanoseconds per observability span."
     in
     Arg.(value & opt (some string) None & info [ "flame" ] ~docv:"FILE" ~doc)
   in
   let action spec times flame =
-    (* per-opcode counts only exist in the bytecode engine *)
-    set_engine ML.Compile.Bytecode;
     with_program spec (fun program ->
-        let module Exec = Failatom_runtime.Exec in
         let module Obs = Failatom_obs.Obs in
         if times < 1 then begin
           Fmt.epr "failatom: --times must be at least 1@.";
@@ -727,37 +716,34 @@ let profile_cmd =
         end
         else begin
           Obs.set_enabled true;
-          Exec.reset_profile ();
-          Exec.profiling := true;
-          let image = Obs.span "compile.image" (fun () -> ML.Compile.image program) in
+          let image = ML.Compile.image program in
+          let calls = ref Method_id.Map.empty in
           for _ = 1 to times do
-            let vm = ML.Compile.instantiate image in
-            Obs.span "vm.run" (fun () ->
-                match ML.Compile.run_main vm with
-                | _ -> ()
-                | exception Failatom_runtime.Vm.Mini_raise e ->
-                  Fmt.epr "uncaught %s: %s@." e.Failatom_runtime.Vm.exn_class
-                    e.Failatom_runtime.Vm.message)
+            match Obs.span "vm.run" (fun () -> Profile.of_image image) with
+            | p ->
+              calls :=
+                Method_id.Map.union (fun _ a b -> Some (a + b)) !calls p.Profile.calls
+            | exception Failatom_runtime.Vm.Mini_raise e ->
+              Fmt.epr "uncaught %s: %s@." e.Failatom_runtime.Vm.exn_class
+                e.Failatom_runtime.Vm.message
           done;
-          Exec.profiling := false;
-          let total = Array.fold_left ( + ) 0 Exec.op_counts in
-          Fmt.pr "dispatches:       %d (%d run(s))@." total times;
           let ranked =
-            List.sort
+            List.stable_sort
               (fun (_, a) (_, b) -> compare b a)
-              (List.init Exec.n_ops (fun i ->
-                   (Exec.op_names.(i), Exec.op_counts.(i))))
+              (Method_id.Map.bindings !calls)
           in
+          let total = List.fold_left (fun acc (_, n) -> acc + n) 0 ranked in
+          Fmt.pr "calls:            %d (%d run(s))@." total times;
           List.iteri
-            (fun rank (name, count) ->
-              if rank < 20 && count > 0 then
-                Fmt.pr "  %-12s %9d  %5.1f%%@." name count
+            (fun rank (id, count) ->
+              if rank < 20 then
+                Fmt.pr "  %-36s %9d  %5.1f%%@." (Method_id.to_string id) count
                   (100.0 *. float_of_int count /. float_of_int (max 1 total)))
             ranked;
           (match flame with
            | Some path ->
              let oc = open_out path in
-             output_string oc (Exec.folded_profile (Obs.snapshot ()));
+             output_string oc (folded_profile ranked (Obs.snapshot ()));
              close_out oc;
              Fmt.epr "folded profile written to %s@." path
            | None -> ());
@@ -765,9 +751,10 @@ let profile_cmd =
         end)
   in
   let doc =
-    "Run a program under the bytecode engine with opcode profiling and print \
-     the hottest instructions; $(b,--flame) also writes a folded-stack file \
-     combining per-opcode dispatch counts with per-phase span timings."
+    "Run a program with a call-counting filter on every method and print the \
+     hottest methods by dynamic calls; $(b,--flame) also writes a \
+     folded-stack file combining per-method call counts with per-phase span \
+     timings."
   in
   Cmd.v (Cmd.info "profile" ~doc ~exits)
     Term.(const action $ program_arg $ times_arg $ flame_arg)
@@ -1495,8 +1482,7 @@ let experiments_cmd =
   Cmd.v (Cmd.info "experiments" ~doc ~exits) Term.(const action $ const ())
 
 let analyze_cmd =
-  let action spec engine flavor =
-    set_engine engine;
+  let action spec flavor =
     with_program spec (fun program ->
         let img = ML.Compile.image program in
         let flow = Exnflow.analyze img program in
@@ -1561,7 +1547,7 @@ let analyze_cmd =
      $(b,--prune) mode would save on this program's injection campaign."
   in
   Cmd.v (Cmd.info "analyze" ~doc ~exits)
-    Term.(const action $ program_arg $ engine_arg $ flavor_arg)
+    Term.(const action $ program_arg $ flavor_arg)
 
 let main_cmd =
   let doc =

@@ -39,19 +39,6 @@ exception Runtime_error of string * Ast.pos
 
 let runtime_error pos fmt = Fmt.kstr (fun s -> raise (Runtime_error (s, pos))) fmt
 
-(* Which execution representation bodies are compiled to.  Both engines
-   are observably identical (run logs, marks, canonical forms, counter
-   totals); [Closures] is kept alive for differential testing. *)
-type engine = Closures | Bytecode
-
-let default_engine = ref Bytecode
-let engine_name = function Closures -> "closures" | Bytecode -> "bytecode"
-
-let engine_of_string = function
-  | "closures" -> Some Closures
-  | "bytecode" -> Some Bytecode
-  | _ -> None
-
 (* Non-local control flow within a method body. *)
 exception Return_value of Value.t
 exception Break_loop
@@ -155,53 +142,6 @@ let resolve_method img cls mname =
   match Hashtbl.find_opt img.img_classes cls with
   | Some ic -> Hashtbl.find_opt ic.ic_dispatch mname
   | None -> None
-
-(* ------------------------------------------------------------------ *)
-(* Bytecode engine glue                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* What the bytecode emitter needs to know about the image, as closures
-   (the dependency stays one-way: Compile → Bytecode → Exec).  [lk_fn]
-   reads [if_impl] through the mutable record at call time, so functions
-   can reference functions compiled later in pass 2. *)
-let linkage_of_image (img : image) : Bytecode.linkage =
-  { Bytecode.lk_resolve =
-      (fun cls m ->
-        match resolve_method img cls m with Some i -> i | None -> -1);
-    lk_fn =
-      (fun name ->
-        match Hashtbl.find_opt img.img_fn_index name with
-        | None -> None
-        | Some idx ->
-          let fn = img.img_functions.(idx) in
-          Some (List.length fn.if_params, fun vm args -> fn.if_impl vm args));
-    lk_class =
-      (fun cls ->
-        match Hashtbl.find_opt img.img_classes cls with
-        | None -> None
-        | Some ic ->
-          Some
-            { Bytecode.ci_template = ic.ic_template;
-              ci_init =
-                (match Hashtbl.find_opt ic.ic_dispatch "init" with
-                 | Some i -> i
-                 | None -> -1);
-              ci_is_exc = ic.ic_is_exception });
-    lk_is_exc = (fun vm cls -> is_exception_class img vm cls);
-    lk_exn_matches = (fun vm ev handler -> exn_matches img vm ev handler) }
-
-(* Program defects surface as [Exec.Error] inside the dispatch loop and
-   become [Runtime_error] at the method/function boundary — outer frames
-   of either engine then see exactly what the closure engine raises. *)
-let wrap_bc_method (impl : Vm.impl) : Vm.impl =
- fun vm this args ->
-  try impl vm this args
-  with Exec.Error (msg, line, col) -> raise (Runtime_error (msg, { Ast.line; col }))
-
-let wrap_bc_fn (impl : Vm.t -> Value.t list -> Value.t) : Vm.t -> Value.t list -> Value.t =
- fun vm args ->
-  try impl vm args
-  with Exec.Error (msg, line, col) -> raise (Runtime_error (msg, { Ast.line; col }))
 
 (* ------------------------------------------------------------------ *)
 (* Runtime helpers shared by the compiled closures                     *)
@@ -919,7 +859,7 @@ type skel = {
   sk_user : bool;
 }
 
-let build_image ~engine (prog : Ast.program) : image =
+let build_image (prog : Ast.program) : image =
   (* Pass 1: class skeletons and global method/function indices, so
      that bodies can reference classes and functions declared later. *)
   let skels : (string, skel) Hashtbl.t = Hashtbl.create 64 in
@@ -1048,34 +988,18 @@ let build_image ~engine (prog : Ast.program) : image =
       img_fn_index = fn_index }
   in
   (* Pass 2: compile every body against the finished layout. *)
-  (match engine with
-   | Closures ->
-     List.iteri
-       (fun idx (cls, m) ->
-         let super = (Hashtbl.find classes cls).ic_super in
-         img.img_methods.(idx).im_impl <- compile_method_impl img super cls m)
-       meths_fwd;
-     List.iteri
-       (fun idx f -> img.img_functions.(idx).if_impl <- compile_function_impl img f)
-       (List.rev !funcs)
-   | Bytecode ->
-     let lk = linkage_of_image img in
-     List.iteri
-       (fun idx (cls, m) ->
-         let super = (Hashtbl.find classes cls).ic_super in
-         img.img_methods.(idx).im_impl <-
-           wrap_bc_method
-             (Bytecode.compile_method lk ~cls_name:cls ~defining_super:super m))
-       meths_fwd;
-     List.iteri
-       (fun idx f ->
-         img.img_functions.(idx).if_impl <- wrap_bc_fn (Bytecode.compile_function lk f))
-       (List.rev !funcs));
+  List.iteri
+    (fun idx (cls, m) ->
+      let super = (Hashtbl.find classes cls).ic_super in
+      img.img_methods.(idx).im_impl <- compile_method_impl img super cls m)
+    meths_fwd;
+  List.iteri
+    (fun idx f -> img.img_functions.(idx).if_impl <- compile_function_impl img f)
+    (List.rev !funcs);
   img
 
-let image ?engine (prog : Ast.program) : image =
-  let engine = match engine with Some e -> e | None -> !default_engine in
-  Obs.span "compile.image" (fun () -> build_image ~engine prog)
+let image (prog : Ast.program) : image =
+  Obs.span "compile.image" (fun () -> build_image prog)
 
 (* ------------------------------------------------------------------ *)
 (* Instantiation                                                       *)

@@ -196,7 +196,7 @@ and parse_primary st =
   | Lexer.KW_SPAWN -> (
     (* [spawn recv.m(args)] evaluates to the new thread's id.  Threads
        are desugared right here into the reflective __spawn hook, so
-       nothing downstream of the parser (engines, analyses, weavers)
+       nothing downstream of the parser (the compiler, analyses, weavers)
        knows about concurrency syntax. *)
     advance st;
     let call = parse_postfix st in

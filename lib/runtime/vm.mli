@@ -125,8 +125,8 @@ exception Deadline_exceeded
 
     Handled by [Sched.run]; performed by the concurrency builtins and,
     for [Preempt], by {!call_filtered} when [preempt_flag] is set.
-    Method-call boundaries are the only preemption opportunities, which
-    keeps both execution engines identical under any schedule. *)
+    Method-call boundaries are the only preemption opportunities, so a
+    schedule depends on the sequence of calls alone. *)
 
 type _ Effect.t +=
   | Preempt : unit Effect.t

@@ -44,18 +44,36 @@ let test_earlier_plan_arms () =
        [ "run"; "app:LinkedList"; "--mode"; "production"; "--plan";
          Filename.concat "golden" "plan_LinkedList.json"; "--perturb-rate"; "1000" ])
 
-(* Capture is always copy-on-write: the engine-selection flags are
-   gone, and naming them is a usage error, not a silent no-op. *)
+(* Capture is always copy-on-write and bodies always run on compiled
+   closures: the capture and engine selection flags are gone, and
+   naming them is a usage error, not a silent no-op. *)
 let test_retired_flags_rejected () =
   List.iter
     (fun args -> Alcotest.(check int) (String.concat " " args) 2 (run args))
     [ [ "detect"; "app:LinkedList"; "--snapshot-mode"; "cow" ];
       [ "campaign"; "app:LinkedList"; "--snapshot-mode"; "eager" ];
       [ "mask"; "app:LinkedList"; "--snapshot-mode"; "cow" ];
-      [ "run"; "app:LinkedList"; "--wrapper-rollback"; "cow" ] ]
+      [ "run"; "app:LinkedList"; "--wrapper-rollback"; "cow" ];
+      [ "detect"; "app:LinkedList"; "--engine"; "closures" ];
+      [ "campaign"; "app:LinkedList"; "--engine"; "closures" ];
+      [ "run"; "app:LinkedList"; "--engine"; "closures" ];
+      [ "mask"; "app:LinkedList"; "--engine"; "closures" ];
+      [ "analyze"; "app:LinkedList"; "--engine"; "closures" ] ]
+
+(* [profile --flame] writes method-level call counts as folded stacks. *)
+let test_profile_flame () =
+  with_temp_file ".folded" (fun path ->
+      Alcotest.(check int) "exit code" 0
+        (run [ "profile"; "app:LinkedList"; "--flame"; path ]);
+      let lines =
+        String.split_on_char '\n' (In_channel.with_open_bin path In_channel.input_all)
+      in
+      Alcotest.(check bool) "at least one calls; line" true
+        (List.exists (String.starts_with ~prefix:"calls;") lines))
 
 let suite =
   [ Alcotest.test_case "run --metrics-out in normal mode" `Quick test_run_metrics_out;
     Alcotest.test_case "earlier plan arms via run" `Quick test_earlier_plan_arms;
     Alcotest.test_case "retired capture flags rejected" `Quick
-      test_retired_flags_rejected ]
+      test_retired_flags_rejected;
+    Alcotest.test_case "profile --flame writes call counts" `Quick test_profile_flame ]

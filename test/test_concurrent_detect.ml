@@ -5,17 +5,16 @@
    mutates nothing, so under the cooperative schedule every injected
    unwind sees an unchanged heap.  Only the cross product of schedule
    exploration and injection detects it.  These tests pin that
-   differential (per app, per flavor), engine equivalence under
-   preemptive schedules, byte-identity of sequential detection with
-   schedules configured, campaign/sequential agreement including
-   journal resume, replay of individual runs from their journaled
-   schedule specs, and the per-thread COW dirty-set partition. *)
+   differential (per app, per flavor), byte-identity of sequential
+   detection with schedules configured, campaign/sequential agreement
+   including journal resume, replay of individual runs from their
+   journaled schedule specs, and the per-thread COW dirty-set
+   partition. *)
 
 open Failatom_core
 open Failatom_runtime
 open Failatom_apps
 module Minilang = Failatom_minilang.Minilang
-module Compile = Failatom_minilang.Compile
 module Campaign = Failatom_campaign.Campaign
 module Journal = Failatom_campaign.Journal
 module Progress = Failatom_campaign.Progress
@@ -103,29 +102,7 @@ let differential_cases =
     seeded
 
 (* ------------------------------------------------------------------ *)
-(* (b) engine equivalence under preemptive schedules                   *)
-(* ------------------------------------------------------------------ *)
-
-let with_engine engine f =
-  let saved = !Compile.default_engine in
-  Compile.default_engine := engine;
-  Fun.protect ~finally:(fun () -> Compile.default_engine := saved) f
-
-(* Preemption opportunities are method-call boundaries, counted
-   identically by both engines — so a full swept detection, serialized
-   as a run log (schedule specs, decision digests, marks, outputs),
-   must be bitwise-equal between closures and bytecode. *)
-let test_engine_equivalence () =
-  let program = parse (find_app "WorkQueue").Registry.source in
-  let log engine =
-    with_engine engine (fun () ->
-        Run_log.save (Detect.run ~config:sweep_config program))
-  in
-  Alcotest.(check string) "closures == bytecode under the sweep"
-    (log Compile.Closures) (log Compile.Bytecode)
-
-(* ------------------------------------------------------------------ *)
-(* (c) sequential programs: schedules configured, nothing changes      *)
+(* (b) sequential programs: schedules configured, nothing changes      *)
 (* ------------------------------------------------------------------ *)
 
 let check_sequential_unchanged name () =
@@ -138,7 +115,7 @@ let check_sequential_unchanged name () =
     (List.for_all (fun (r : Marks.run_record) -> r.Marks.sched = None) after.Detect.runs)
 
 (* ------------------------------------------------------------------ *)
-(* (d) campaign agreement and journal resume across phases             *)
+(* (c) campaign agreement and journal resume across phases             *)
 (* ------------------------------------------------------------------ *)
 
 let with_temp_journal f =
@@ -211,7 +188,7 @@ let test_campaign_resume_partitions () =
         (uninterrupted.Detect.runs = again.Detect.runs))
 
 (* ------------------------------------------------------------------ *)
-(* (e) replay: a journaled record reproduces bit-for-bit               *)
+(* (d) replay: a journaled record reproduces bit-for-bit               *)
 (* ------------------------------------------------------------------ *)
 
 (* Every concurrent run is a pure function of (program, threshold,
@@ -244,7 +221,7 @@ let test_replay_bit_identity () =
     [ List.hd noncoop; List.nth noncoop (n / 2); List.nth noncoop (n - 1) ]
 
 (* ------------------------------------------------------------------ *)
-(* (f) per-thread COW dirty sets                                       *)
+(* (e) per-thread COW dirty sets                                       *)
 (* ------------------------------------------------------------------ *)
 
 (* A dirty object belongs to exactly one thread — the one whose write
@@ -323,8 +300,7 @@ let test_heap_uids_distinct_across_domains () =
     (List.length (List.sort_uniq compare uids))
 
 let suite =
-  [ Alcotest.test_case "engines agree under the sweep" `Slow test_engine_equivalence;
-    Alcotest.test_case "sequential detection unchanged (Synthetic)" `Quick
+  [ Alcotest.test_case "sequential detection unchanged (Synthetic)" `Quick
       (check_sequential_unchanged "Synthetic");
     Alcotest.test_case "sequential detection unchanged (LinkedList)" `Slow
       (check_sequential_unchanged "LinkedList");

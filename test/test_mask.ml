@@ -243,16 +243,12 @@ let check_unwind_releases_checkpoint strategy () =
    independent.  Under each preemptive schedule, a canaried production
    run must be byte-identical to the same run under the eager Listing 2
    oracle, roll back at least once, and validate every perturbation. *)
-let check_concurrent_production name flavor engine () =
-  let module Compile = Failatom_minilang.Compile in
+let check_concurrent_production name flavor () =
   let module Sched = Failatom_runtime.Sched in
   let module Plan = Failatom_prod.Plan in
   let module Perturb = Failatom_prod.Perturb in
   let module Scorecard = Failatom_prod.Scorecard in
   let module Produce = Failatom_prod.Produce in
-  let saved = !Compile.default_engine in
-  Compile.default_engine := engine;
-  Fun.protect ~finally:(fun () -> Compile.default_engine := saved) @@ fun () ->
   let program = parse (Option.get (Registry.find name)).Registry.source in
   (* sweep detection so the seeded schedule-only violations are
      classified — and therefore wrapped — like any pure non-atomic
@@ -323,15 +319,7 @@ let suite =
       (check_unwind_releases_checkpoint Eager);
     Alcotest.test_case "unwind releases checkpoint (lazy)" `Quick
       (check_unwind_releases_checkpoint Cow);
-    Alcotest.test_case "concurrent production: StripedMap (closures)" `Quick
-      (check_concurrent_production "StripedMap" Detect.Load_time_filters
-         Failatom_minilang.Compile.Closures);
-    Alcotest.test_case "concurrent production: StripedMap (bytecode)" `Quick
-      (check_concurrent_production "StripedMap" Detect.Load_time_filters
-         Failatom_minilang.Compile.Bytecode);
-    Alcotest.test_case "concurrent production: BoundedBuffer (closures)" `Quick
-      (check_concurrent_production "BoundedBuffer" Detect.Load_time_filters
-         Failatom_minilang.Compile.Closures);
-    Alcotest.test_case "concurrent production: BoundedBuffer (bytecode)" `Quick
-      (check_concurrent_production "BoundedBuffer" Detect.Load_time_filters
-         Failatom_minilang.Compile.Bytecode) ]
+    Alcotest.test_case "concurrent production: StripedMap" `Quick
+      (check_concurrent_production "StripedMap" Detect.Load_time_filters);
+    Alcotest.test_case "concurrent production: BoundedBuffer" `Quick
+      (check_concurrent_production "BoundedBuffer" Detect.Load_time_filters) ]
